@@ -3,18 +3,25 @@
 Vertices are dense 0-based integers with no labels; generators document
 their own numbering. Adjacency has set semantics (no self-loops, no
 parallel edges). Graphs are immutable after construction, so every query
-is read-only and safe to call concurrently.
+is read-only and safe to call concurrently. The one derived value, the
+edge-class tables of :meth:`Graph.edge_classes`, is cached on first use;
+two threads racing to fill it only compute the same tables twice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
+
+# (lo, hi) endpoint-label pair -> number of edges in that class
+ClassTable = Mapping[tuple[int, int], int]
 
 
 class Graph:
     """Immutable simple undirected graph over vertices ``0..vertex_count-1``."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("_adj", "_classes")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -30,18 +37,21 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._classes: tuple[ClassTable, ClassTable] | None = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> Graph:
         """Build directly from per-vertex neighbor collections, unchecked.
 
-        Exists so that malformed graphs (asymmetric adjacency, self-loops)
-        can be constructed and then diagnosed with :meth:`validate`. Normal
-        callers should use the edge-list constructor, which enforces the
-        invariants up front.
+        Serves generators whose construction already guarantees the
+        invariants, and lets malformed graphs (asymmetric adjacency,
+        self-loops) be constructed and then diagnosed with :meth:`validate`.
+        Other callers should use the edge-list constructor, which enforces
+        the invariants up front.
         """
         g = object.__new__(cls)
         g._adj = tuple(frozenset(ns) for ns in adjacency)
+        g._classes = None
         return g
 
     @property
@@ -75,6 +85,36 @@ class Graph:
             for v in sorted(self._adj[u])
             if u < v
         ]
+
+    def edge_classes(self) -> tuple[ClassTable, ClassTable]:
+        """Edge counts per degree pair and per neighbor-degree-sum pair.
+
+        Each edge is classified by the labels of its two endpoints, keyed
+        ``(lo, hi)`` with ``lo <= hi``; empty classes are absent. The tables
+        are computed once, in one pass over the adjacency, and returned as
+        read-only views of the cache.
+        """
+        if self._classes is not None:
+            return self._classes
+        adj = self._adj
+        degrees = [len(nbrs) for nbrs in adj]
+        labels = [
+            (degrees[v], sum([degrees[u] for u in nbrs])) for v, nbrs in enumerate(adj)
+        ]
+        # Count each edge u < v under its ordered label pair, then fold
+        # (a, b) and (b, a) together; distinct pairs are usually few.
+        pairs = Counter(
+            (labels[u], labels[v]) for u, nbrs in enumerate(adj) for v in nbrs if u < v
+        )
+        by_degree: dict[tuple[int, int], int] = {}
+        by_sum: dict[tuple[int, int], int] = {}
+        for ((du, su), (dv, sv)), count in pairs.items():
+            for table, a, b in ((by_degree, du, dv), (by_sum, su, sv)):
+                key = (a, b) if a <= b else (b, a)
+                table[key] = table.get(key, 0) + count
+        classes = (MappingProxyType(by_degree), MappingProxyType(by_sum))
+        self._classes = classes
+        return classes
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self._adj) // 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from itertools import chain, repeat
 
 from .graph import Graph
 from .partition import (
@@ -76,16 +77,21 @@ def edge_term(kind: IndexKind, a: int, b: int) -> float:
     return 2.0 * math.sqrt(a * b) / (a + b)
 
 
-def _labels(g: Graph, kind: IndexKind) -> list[int]:
-    if kind.labeling == DEGREE:
-        return [g.degree(v) for v in range(g.vertex_count)]
-    return [g.neighbor_degree_sum(v) for v in range(g.vertex_count)]
-
-
 def compute_index(g: Graph, kind: IndexKind) -> float:
-    """Index value by direct edge summation."""
-    labels = _labels(g, kind)
-    return math.fsum(edge_term(kind, labels[u], labels[v]) for u, v in g.edges())
+    """Index value by brute force: one term per edge, grouped by class.
+
+    Every edge contributes its own copy of its class's term, and
+    ``math.fsum`` rounds the whole multiset once, so the value is
+    bit-identical to summing edge by edge in any order. Unlike
+    :func:`compute_from_partition`, no ``count * term`` product is rounded.
+    """
+    degree_classes, sum_classes = g.edge_classes()
+    classes = degree_classes if kind.labeling == DEGREE else sum_classes
+    return math.fsum(
+        chain.from_iterable(
+            repeat(edge_term(kind, a, b), count) for (a, b), count in classes.items()
+        )
+    )
 
 
 def compute_from_partition(p: EdgePartition, kind: IndexKind) -> float:

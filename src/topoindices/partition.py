@@ -3,7 +3,8 @@
 Each edge is classified by the pair of labels of its two endpoints, where
 the label is either the vertex degree or the neighbor-degree sum. Keys are
 normalized so ``lo <= hi``; counts cover every edge and empty classes are
-never stored.
+never stored. The tables come from :meth:`Graph.edge_classes`, computed once
+per graph; each partition holds its own copy, free to mutate.
 """
 
 from __future__ import annotations
@@ -32,22 +33,11 @@ class EdgePartition:
         return sorted(self.classes.items())
 
 
-def _classify(g: Graph, labels: list[int], mode: str) -> EdgePartition:
-    classes: dict[tuple[int, int], int] = {}
-    for u, v in g.edges():
-        a, b = labels[u], labels[v]
-        key = (a, b) if a <= b else (b, a)
-        classes[key] = classes.get(key, 0) + 1
-    return EdgePartition(mode, classes)
-
-
 def degree_partition(g: Graph) -> EdgePartition:
     """Classify every edge by its endpoint degrees."""
-    labels = [g.degree(v) for v in range(g.vertex_count)]
-    return _classify(g, labels, DEGREE)
+    return EdgePartition(DEGREE, dict(g.edge_classes()[0]))
 
 
 def neighbor_sum_partition(g: Graph) -> EdgePartition:
     """Classify every edge by its endpoint neighbor-degree sums."""
-    labels = [g.neighbor_degree_sum(v) for v in range(g.vertex_count)]
-    return _classify(g, labels, NEIGHBOR_SUM)
+    return EdgePartition(NEIGHBOR_SUM, dict(g.edge_classes()[1]))

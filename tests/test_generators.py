@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import reference_hanoi
 from topoindices import (
     Graph,
     double_wheel,
@@ -42,6 +43,11 @@ class TestDoubleWheel:
         with pytest.raises(ValueError):
             double_wheel(n)
 
+    @pytest.mark.parametrize("n", [3.5, 4.0, True, "5", None])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            double_wheel(n)
+
     def test_ring_structure(self):
         # hub 0, rings 1..n and n+1..2n, consecutive around each cycle
         g = double_wheel(4)
@@ -71,7 +77,11 @@ class TestHanoi:
         assert g.vertex_count == 81
         assert g.edge_count() == 120
 
-    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_move_rule_reference(self, n):
+        assert hanoi(n) == reference_hanoi(n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_exactly_three_degree_two_vertices(self, n):
         g = hanoi(n)
         corners = [v for v in range(g.vertex_count) if g.degree(v) == 2]
@@ -96,6 +106,11 @@ class TestHanoi:
             hanoi(0)
         with pytest.raises(ValueError):
             hanoi(14)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", None])
+    def test_rejects_non_int_n(self, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            hanoi(n)
 
     def test_cap_is_configurable(self):
         with pytest.raises(ValueError):

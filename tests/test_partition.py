@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, reference_index
 from topoindices import (
     Graph,
+    IndexKind,
+    compute_index,
     degree_partition,
     double_wheel,
     hanoi,
@@ -90,3 +92,37 @@ class TestTotals:
     def test_sorted_items_deterministic(self):
         part = neighbor_sum_partition(hanoi(3))
         assert part.sorted_items() == sorted(part.classes.items())
+
+
+class TestCachedClasses:
+    def test_mutating_a_partition_leaves_the_graph_alone(self):
+        g = hanoi(4)
+        before = {k: compute_index(g, k) for k in IndexKind}
+        degree_partition(g).classes[(3, 3)] = 0
+        neighbor_sum_partition(g).classes.clear()
+        assert degree_partition(g).classes == {(2, 3): 6, (3, 3): 114}
+        assert neighbor_sum_partition(g).classes == {(6, 8): 6, (8, 8): 3, (8, 9): 6, (9, 9): 105}
+        assert {k: compute_index(g, k) for k in IndexKind} == before
+
+    def test_cached_tables_are_read_only(self):
+        for table in triangle().edge_classes():
+            with pytest.raises(TypeError):
+                table[(1, 1)] = 1
+
+    def test_cache_does_not_affect_equality(self):
+        g, fresh = hanoi(3), hanoi(3)
+        g.edge_classes()
+        assert g == fresh
+        assert hash(g) == hash(fresh)
+
+    def test_from_adjacency_fills_the_cache_lazily(self):
+        # a malformed graph is built and diagnosed without classifying it
+        broken = Graph.from_adjacency([{5}])
+        assert "out-of-range" in broken.validate()
+        with pytest.raises(IndexError):
+            broken.edge_classes()
+        copy = Graph.from_adjacency(double_wheel(5).adjacency)
+        assert copy.validate() is None
+        assert degree_partition(copy).classes == {(3, 3): 10, (3, 10): 10}
+        for kind in IndexKind:
+            assert compute_index(copy, kind) == reference_index(copy, kind)

@@ -2,17 +2,21 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_index
 from topoindices import (
     Graph,
     IndexKind,
     compute_from_partition,
     compute_index,
     degree_partition,
+    double_wheel,
     edge_term,
     from_edge_list,
+    hanoi,
     matching_partition,
     neighbor_sum_partition,
     to_edge_list,
@@ -67,6 +71,22 @@ def test_partition_equals_edge_sum(g):
         direct = compute_index(g, kind)
         grouped = compute_from_partition(matching_partition(g, kind), kind)
         assert abs(direct - grouped) <= 1e-12 * abs(direct)
+
+
+@given(connected_graphs())
+def test_compute_index_is_the_per_edge_sum(g):
+    for kind in ALL_KINDS:
+        assert compute_index(g, kind) == reference_index(g, kind)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [hanoi(n) for n in range(1, 8)] + [double_wheel(n) for n in (3, 4, 17, 100, 1000)],
+    ids=repr,
+)
+def test_compute_index_is_the_per_edge_sum_on_families(g):
+    for kind in ALL_KINDS:
+        assert compute_index(g, kind) == reference_index(g, kind)
 
 
 @given(st.sampled_from(ALL_KINDS), labels, labels)
