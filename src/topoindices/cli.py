@@ -15,8 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .closed_forms import DW, HANOI, Variant, closed_form
-from .generators import double_wheel, from_edge_list, hanoi, to_edge_list
+from .closed_forms import FAMILIES, Variant, closed_form, get_family
+from .generators import from_edge_list, to_edge_list
 from .graph import Graph
 from .indices import IndexKind, compute_index
 from .partition import (
@@ -28,11 +28,11 @@ from .partition import (
 )
 from .verify import (
     DEFAULT_TOLERANCE,
-    FAMILIES,
+    VerificationEntry,
+    check_tolerance,
     combine_reports,
     errata_report,
-    relative_error,
-    verify_all,
+    verify_entry,
     verify_family,
 )
 
@@ -47,15 +47,38 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _parse_family(name: str) -> str:
-    normalized = name.strip().lower()
-    if normalized in FAMILIES:
-        return normalized
-    raise ValueError(f"unknown family {name!r} (known: dw, hanoi)")
+# Columns of a closed-form check (compute --method both, verify) and of a
+# single value (compute --method brute|closed).
+CHECK_COLUMNS = ("family", "kind", "n", "variant", "oracle", "closed", "rel_error", "pass")
+VALUE_COLUMNS = ("family", "kind", "n", "method", "value")
 
 
-def _build_family_graph(family: str, n: int) -> Graph:
-    return double_wheel(n) if family == DW else hanoi(n)
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _render_csv(columns: tuple[str, ...], records: list[dict]) -> str:
+    rows = [",".join(_csv_cell(rec[column]) for column in columns) for rec in records]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def _check_record(entry: VerificationEntry) -> dict:
+    return {
+        "family": entry.family,
+        "kind": entry.kind.value,
+        "n": entry.n,
+        "variant": entry.variant.value,
+        "oracle": entry.oracle_value,
+        "closed": entry.closed_value,
+        "rel_error": entry.rel_error,
+        "pass": entry.passed,
+    }
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -79,15 +102,14 @@ def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, in
         return from_edge_list(text), None, None
     if args.family is None or args.n is None:
         raise ValueError("either --edges or both --family and --n are required")
-    return None, _parse_family(args.family), args.n
+    return None, args.family, args.n
 
 
 # ---------------------------------------------------------------- generate
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    family = _parse_family(args.family)
-    g = _build_family_graph(family, args.n)
+    g = get_family(args.family).build(args.n)
     _write_output(to_edge_list(g), args.out)
     return EXIT_OK
 
@@ -101,33 +123,29 @@ def _compute_records(args: argparse.Namespace) -> list[dict]:
         raise ValueError("closed forms exist only for generated families, not --edges input")
     kinds = list(IndexKind) if args.index == "all" else [IndexKind.parse(args.index)]
     variant = Variant.parse(args.variant)
+    if args.method == "both":
+        check_tolerance(args.tol)
 
     if graph is None and args.method in ("brute", "both"):
-        graph = _build_family_graph(family, n)
+        graph = get_family(family).build(n)
 
+    if args.method == "both":
+        return [
+            _check_record(verify_entry(family, kind, n, graph, args.tol, variant))
+            for kind in kinds
+        ]
     records = []
     for kind in kinds:
         rec: dict = {"family": family, "kind": kind.value, "n": n}
         if args.method == "brute":
             rec["method"] = "brute"
             rec["value"] = compute_index(graph, kind)
-        elif args.method == "closed":
+        else:
             result = closed_form(family, kind, n, variant)
             rec["method"] = "closed"
             rec["variant"] = variant.value
             rec["value"] = result.value
             rec["exactness_warning"] = result.exactness_warning
-        else:
-            oracle = compute_index(graph, kind)
-            closed = closed_form(family, kind, n, variant)
-            err = relative_error(closed.value, oracle)
-            rec.update(
-                variant=variant.value,
-                oracle=oracle,
-                closed=closed.value,
-                rel_error=err,
-            )
-            rec["pass"] = err <= args.tol
         records.append(rec)
     return records
 
@@ -148,47 +166,12 @@ def _render_compute_text(records: list[dict], method: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_compute_csv(records: list[dict], method: str) -> str:
-    if method == "both":
-        header = "family,kind,n,variant,oracle,closed,rel_error,pass"
-        rows = [
-            ",".join(
-                [
-                    rec["family"] or "",
-                    rec["kind"],
-                    str(rec["n"] if rec["n"] is not None else ""),
-                    rec["variant"],
-                    _fmt(rec["oracle"]),
-                    _fmt(rec["closed"]),
-                    _fmt(rec["rel_error"]),
-                    str(rec["pass"]).lower(),
-                ]
-            )
-            for rec in records
-        ]
-    else:
-        header = "family,kind,n,method,value"
-        rows = [
-            ",".join(
-                [
-                    rec["family"] or "",
-                    rec["kind"],
-                    str(rec["n"] if rec["n"] is not None else ""),
-                    rec["method"],
-                    _fmt(rec["value"]),
-                ]
-            )
-            for rec in records
-        ]
-    return "\n".join([header, *rows]) + "\n"
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     records = _compute_records(args)
     if args.format == "json":
         text = json.dumps(records, indent=2) + "\n"
     elif args.format == "csv":
-        text = _render_compute_csv(records, args.method)
+        text = _render_csv(CHECK_COLUMNS if args.method == "both" else VALUE_COLUMNS, records)
     else:
         text = _render_compute_text(records, args.method)
     _write_output(text, args.out)
@@ -201,7 +184,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 def _resolve_partition(args: argparse.Namespace) -> EdgePartition:
     graph, family, n = _load_source(args)
     if graph is None:
-        graph = _build_family_graph(family, n)
+        graph = get_family(family).build(n)
     mode = args.mode.strip().lower().replace("-", "_")
     if mode == DEGREE:
         return degree_partition(graph)
@@ -213,17 +196,11 @@ def _resolve_partition(args: argparse.Namespace) -> EdgePartition:
 def cmd_partition(args: argparse.Namespace) -> int:
     part = _resolve_partition(args)
     items = part.sorted_items()
+    classes = [{"lo": lo, "hi": hi, "count": count} for (lo, hi), count in items]
     if args.format == "json":
-        payload = {
-            "mode": part.mode,
-            "classes": [
-                {"lo": lo, "hi": hi, "count": count} for (lo, hi), count in items
-            ],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps({"mode": part.mode, "classes": classes}, indent=2) + "\n"
     elif args.format == "csv":
-        rows = [f"{lo},{hi},{count}" for (lo, hi), count in items]
-        text = "\n".join(["lo,hi,count", *rows]) + "\n"
+        text = _render_csv(("lo", "hi", "count"), classes)
     else:
         rows = [f"{lo}\t{hi}\t{count}" for (lo, hi), count in items]
         text = "\n".join(["lo\thi\tcount", *rows]) + "\n"
@@ -241,12 +218,7 @@ def _verify_report(args: argparse.Namespace):
         raise ValueError("--n-min and --n-max must be given together")
     n_range = None if args.n_min is None else (args.n_min, args.n_max)
 
-    if args.family == "all":
-        if kinds is None and n_range is None:
-            return verify_all(tolerance=args.tol, variant=variant)
-        families = FAMILIES
-    else:
-        families = (_parse_family(args.family),)
+    families = tuple(FAMILIES) if args.family == "all" else (args.family,)
 
     return combine_reports(
         [
@@ -263,30 +235,10 @@ def _verify_report(args: argparse.Namespace):
     )
 
 
-def _report_csv(report) -> str:
-    header = "family,kind,n,variant,oracle,closed,rel_error,pass"
-    rows = [
-        ",".join(
-            [
-                e.family,
-                e.kind.value,
-                str(e.n),
-                e.variant.value,
-                _fmt(e.oracle_value),
-                _fmt(e.closed_value),
-                _fmt(e.rel_error),
-                str(e.passed).lower(),
-            ]
-        )
-        for e in report.entries
-    ]
-    return "\n".join([header, *rows]) + "\n"
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify_report(args)
     if args.format == "csv":
-        text = _report_csv(report)
+        text = _render_csv(CHECK_COLUMNS, [_check_record(e) for e in report.entries])
     else:
         text = report.to_json() + "\n"
     _write_output(text, args.out)
@@ -319,7 +271,7 @@ def cmd_errata(args: argparse.Namespace) -> int:
 
 
 def _add_source_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("dw", "hanoi"), help="graph family")
+    sub.add_argument("--family", choices=tuple(FAMILIES), help="graph family")
     sub.add_argument("--n", type=int, help="family size parameter")
     sub.add_argument("--edges", metavar="PATH", help="edge-list file instead of a family")
 
@@ -337,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a family graph as an edge list")
-    p.add_argument("--family", required=True, choices=("dw", "hanoi"))
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
     p.set_defaults(func=cmd_generate)
@@ -360,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("verify", help="check closed forms against brute force")
-    p.add_argument("--family", default="all", choices=("dw", "hanoi", "all"))
+    p.add_argument("--family", default="all", choices=(*FAMILIES, "all"))
     p.add_argument("--index", default="all", help="index name or 'all'")
     p.add_argument("--n-min", type=int, help="range start (default: per-kind range)")
     p.add_argument("--n-max", type=int, help="range end (inclusive)")

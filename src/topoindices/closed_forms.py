@@ -1,4 +1,5 @@
-"""Closed-form expressions for the six indices on both graph families.
+"""Closed-form expressions for the six indices on both graph families, and
+the registry of those families.
 
 Each formula is implemented exactly as printed in its published derivation
 (no algebraic rearrangement) so every term can be audited against the
@@ -6,14 +7,24 @@ source text. The double-wheel abc4 formula exists in two variants: the one
 the statement prints, which duplicates the plain abc formula, and the one
 its own derivation arrives at. Brute force confirms the derived variant,
 so that is the default; the stated variant is kept for the errata report.
+
+:data:`FAMILIES` is the registry: one :class:`Family` record per family,
+the only place its name, floors, size cap and default range are written.
+The CLI, :func:`closed_form` and :mod:`topoindices.verify` read it, and
+:func:`get_family` is the one lookup that rejects an unknown name.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
+from .generators import HANOI_MAX_N, _require_int, double_wheel, hanoi
+from .graph import Graph
 from .indices import IndexKind
 from .partition import NEIGHBOR_SUM
 
@@ -22,6 +33,9 @@ HANOI = "hanoi"
 
 # Largest integer a double represents exactly; 3**(n+1) crosses it at n = 33.
 _EXACT_FLOAT_LIMIT = 2**53
+
+# Largest n with 3**n below the largest double (646); beyond it every Hanoi value overflows.
+_HANOI_FLOAT_MAX_N = int(math.log(sys.float_info.max, 3))
 
 
 class Variant(enum.Enum):
@@ -49,6 +63,32 @@ class ClosedFormResult:
     exactness_warning: bool
 
 
+def _checked(family: str):
+    """Give a family's closed form the checks both families share: ``TypeError``
+    unless ``n`` is an ``int`` (not a ``bool``), ``ValueError`` when ``n`` is
+    below the family's floor for ``kind`` or the value overflows a float."""
+
+    def decorate(formula):
+        @functools.wraps(formula)
+        def checked(kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED):
+            _require_int(n)
+            floor = FAMILIES[family].min_n(kind)
+            if n < floor:
+                raise ValueError(f"{family} {kind.value} closed form needs n >= {floor}, got {n}")
+            try:
+                result = formula(kind, n, variant)
+                if math.isfinite(result.value):
+                    return result
+            except OverflowError:
+                pass
+            raise ValueError(f"{family} {kind.value} closed form overflows a float at n = {n}")
+
+        return checked
+
+    return decorate
+
+
+@_checked(DW)
 def dw_closed_form(
     kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED
 ) -> ClosedFormResult:
@@ -57,8 +97,6 @@ def dw_closed_form(
     ``variant`` only matters for ``abc4``; for every other kind the two
     variants are the same expression.
     """
-    if n < 3:
-        raise ValueError(f"double-wheel closed forms need n >= 3, got {n}")
     if kind is IndexKind.RANDIC:
         value = 2 * n / 3 + 2 * n / math.sqrt(6 * n)
     elif kind is IndexKind.SUM_CONNECTIVITY:
@@ -88,9 +126,10 @@ def hanoi_min_n(kind: IndexKind) -> int:
     at n = 3 (at n = 2 the corner triangles touch and the edge classes
     differ), so the neighbor-sum kinds need n >= 3.
     """
-    return 3 if kind.labeling == NEIGHBOR_SUM else 2
+    return FAMILIES[HANOI].min_n(kind)
 
 
+@_checked(HANOI)
 def hanoi_closed_form(
     kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED
 ) -> ClosedFormResult:
@@ -100,11 +139,12 @@ def hanoi_closed_form(
     evaluate identically; the parameter exists for API symmetry. The
     ``3**(n + 1)`` term is computed in exact integer arithmetic and
     converted once, with ``exactness_warning`` set when the conversion
-    rounds (n >= 33).
+    rounds (n >= 33). The value overflows a float from n = 646 or 647,
+    depending on the kind, and evaluation then raises ``ValueError``.
     """
-    floor = hanoi_min_n(kind)
-    if n < floor:
-        raise ValueError(f"hanoi {kind.value} closed form needs n >= {floor}, got {n}")
+    if n > _HANOI_FLOAT_MAX_N:
+        # Fail before building an exact power of 3 that could fill memory.
+        raise OverflowError
     p = 3 ** (n + 1)
     if kind is IndexKind.RANDIC:
         value = math.sqrt(6) + p / 6 - 5 / 2
@@ -121,12 +161,57 @@ def hanoi_closed_form(
     return ClosedFormResult(HANOI, kind, n, variant, value, p > _EXACT_FLOAT_LIMIT)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One graph family: its name, generator, closed forms and size limits.
+
+    ``min_n(kind)`` is the smallest ``n`` at which the closed form for
+    ``kind`` holds. ``max_n`` is the generator's size cap, or ``None`` when
+    the generator has none. Each kind's default verification range is
+    ``(min_n(kind), default_max_n)``.
+    """
+
+    name: str
+    min_n: Callable[[IndexKind], int]
+    max_n: int | None
+    default_max_n: int
+    build: Callable[[int], Graph]
+    closed_form: Callable[[IndexKind, int, Variant], ClosedFormResult]
+
+
+# ``build`` and ``closed_form`` look the generator and the closed form up by
+# their module-level names on every call, not through a stored function
+# object: a wrapper bound to those names later (perfbench's tracer rebinds
+# module globals to time each call) must see the calls made through here.
+FAMILIES: dict[str, Family] = {
+    DW: Family(
+        name=DW,
+        min_n=lambda kind: 3,
+        max_n=None,
+        default_max_n=64,
+        build=lambda n: double_wheel(n),
+        closed_form=lambda kind, n, variant: dw_closed_form(kind, n, variant),
+    ),
+    HANOI: Family(
+        name=HANOI,
+        min_n=lambda kind: 3 if kind.labeling == NEIGHBOR_SUM else 2,
+        max_n=HANOI_MAX_N,
+        default_max_n=8,
+        build=lambda n: hanoi(n),
+        closed_form=lambda kind, n, variant: hanoi_closed_form(kind, n, variant),
+    ),
+}
+
+
+def get_family(name: str) -> Family:
+    """The registry record for ``name``; ``ValueError`` lists the known names."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r} (known: {', '.join(FAMILIES)})")
+    return FAMILIES[name]
+
+
 def closed_form(
     family: str, kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED
 ) -> ClosedFormResult:
-    """Dispatch to the family's closed form; ``family`` is ``dw`` or ``hanoi``."""
-    if family == DW:
-        return dw_closed_form(kind, n, variant)
-    if family == HANOI:
-        return hanoi_closed_form(kind, n, variant)
-    raise ValueError(f"unknown family {family!r} (known: dw, hanoi)")
+    """Dispatch to the closed form of the family named ``family``."""
+    return get_family(family).closed_form(kind, n, variant)

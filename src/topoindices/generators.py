@@ -52,7 +52,7 @@ def double_wheel(n: int) -> Graph:
     return Graph(2 * n + 1, edges)
 
 
-def hanoi(n: int, max_n: int = HANOI_MAX_N) -> Graph:
+def hanoi(n: int) -> Graph:
     """State graph of the n-disc, 3-peg puzzle.
 
     Vertices are the ``3**n`` disc placements; two states are adjacent iff
@@ -70,8 +70,8 @@ def hanoi(n: int, max_n: int = HANOI_MAX_N) -> Graph:
     _require_int(n)
     if n < 1:
         raise ValueError(f"hanoi requires n >= 1, got {n}")
-    if n > max_n:
-        raise ValueError(f"hanoi size cap is n <= {max_n}, got {n}")
+    if n > HANOI_MAX_N:
+        raise ValueError(f"hanoi size cap is n <= {HANOI_MAX_N}, got {n}")
     adj: list[list[int]] = [[]]
     for k in range(1, n + 1):
         adj = [[3 * w + p for w in nbrs] for nbrs in adj for p in (0, 1, 2)]

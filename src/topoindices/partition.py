@@ -15,7 +15,6 @@ from .graph import Graph
 
 DEGREE = "degree"
 NEIGHBOR_SUM = "neighbor_sum"
-MODES = (DEGREE, NEIGHBOR_SUM)
 
 
 @dataclass(frozen=True)

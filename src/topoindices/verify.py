@@ -1,8 +1,8 @@
 """Cross-checking of closed forms against the brute-force oracle.
 
-The oracle path builds the graph and sums edge weights directly, touching
-only the generators and index modules; the closed-form path evaluates the
-published expression. Each (family, kind, n) entry records both values,
+The oracle path builds the graph with the family's generator and sums edge
+weights directly, so no closed form enters it; the closed-form path
+evaluates the published expression. Each (family, kind, n) entry records both values,
 their relative error, and pass/fail at the given tolerance. Reports also
 carry the errata these checks expose in the published derivations, and
 serialize deterministically so identical runs are byte-identical.
@@ -13,18 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .closed_forms import DW, HANOI, ClosedFormResult, Variant, closed_form
-from .generators import HANOI_MAX_N, double_wheel, hanoi
+from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
 from .graph import Graph
 from .indices import IndexKind, compute_index
-from .partition import DEGREE, neighbor_sum_partition
-
-FAMILIES = (DW, HANOI)
+from .partition import neighbor_sum_partition
 
 DEFAULT_TOLERANCE = 1e-9
-DW_DEFAULT_RANGE = (3, 64)
-HANOI_DEGREE_DEFAULT_RANGE = (2, 8)
-HANOI_NEIGHBOR_SUM_DEFAULT_RANGE = (3, 8)
+
+# A relative error above this marks a closed form as wrong (errata_report).
+# Every tolerance must stay below it, so no setting can pass such a formula.
+MISMATCH_ERROR = 0.1
 
 # Avoids division by zero in relative errors; index values in scope are
 # all >= 1, so this floor never activates in practice.
@@ -106,34 +104,18 @@ def relative_error(closed: float, oracle: float) -> float:
     return abs(closed - oracle) / max(abs(oracle), _REL_ERROR_FLOOR)
 
 
-def build_graph(family: str, n: int) -> Graph:
-    if family == DW:
-        return double_wheel(n)
-    if family == HANOI:
-        return hanoi(n)
-    raise ValueError(f"unknown family {family!r} (known: dw, hanoi)")
+def check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance outside ``0 < tolerance < MISMATCH_ERROR``, nan included."""
+    if not 0 < tolerance < MISMATCH_ERROR:
+        raise ValueError(f"tolerance must satisfy 0 < tol < {MISMATCH_ERROR}, got {tolerance}")
 
 
 def brute_force_value(family: str, kind: IndexKind, n: int) -> float:
     """Oracle value: direct edge summation over the generated graph."""
-    return compute_index(build_graph(family, n), kind)
+    return compute_index(get_family(family).build(n), kind)
 
 
-def family_min_n(family: str, kind: IndexKind) -> int:
-    if family == DW:
-        return 3
-    return 2 if kind.labeling == DEGREE else 3
-
-
-def default_range(family: str, kind: IndexKind) -> tuple[int, int]:
-    if family == DW:
-        return DW_DEFAULT_RANGE
-    if kind.labeling == DEGREE:
-        return HANOI_DEGREE_DEFAULT_RANGE
-    return HANOI_NEIGHBOR_SUM_DEFAULT_RANGE
-
-
-def _entry(
+def verify_entry(
     family: str,
     kind: IndexKind,
     n: int,
@@ -141,6 +123,8 @@ def _entry(
     tolerance: float,
     variant: Variant,
 ) -> VerificationEntry:
+    """Check one closed form against brute force on ``graph``, the family's
+    graph of size ``n``; the caller has checked ``tolerance``."""
     oracle = compute_index(graph, kind)
     closed: ClosedFormResult = closed_form(family, kind, n, variant)
     err = relative_error(closed.value, oracle)
@@ -180,27 +164,25 @@ def verify_family(
     Entries are listed in (family, kind, n) order regardless of how they
     were computed.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r} (known: dw, hanoi)")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    record = get_family(family)
+    check_tolerance(tolerance)
     if kinds is None:
         kinds = tuple(IndexKind)
 
     ranges: dict[IndexKind, tuple[int, int]] = {}
     for kind in kinds:
-        lo, hi = n_range if n_range is not None else default_range(family, kind)
+        floor = record.min_n(kind)
+        lo, hi = n_range if n_range is not None else (floor, record.default_max_n)
         if lo > hi:
             raise ValueError(f"empty range: n_min={lo} > n_max={hi}")
-        floor = family_min_n(family, kind)
         if lo < floor:
             raise ValueError(
                 f"{family} {kind.value} is only defined for n >= {floor}, "
                 f"requested range starts at {lo}"
             )
-        if family == HANOI and hi > HANOI_MAX_N:
+        if record.max_n is not None and hi > record.max_n:
             raise ValueError(
-                f"hanoi generator size cap is n <= {HANOI_MAX_N}, requested up to {hi}"
+                f"{family} generator size cap is n <= {record.max_n}, requested up to {hi}"
             )
         ranges[kind] = (lo, hi)
 
@@ -212,8 +194,8 @@ def verify_family(
         lo, hi = ranges[kind]
         for n in range(lo, hi + 1):
             if n not in graphs:
-                graphs[n] = build_graph(family, n)
-            results[(kind_order[kind], n)] = _entry(
+                graphs[n] = record.build(n)
+            results[(kind_order[kind], n)] = verify_entry(
                 family, kind, n, graphs[n], tolerance, variant
             )
 
@@ -251,8 +233,9 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
     Hanoi family omits its largest edge class, and the double-wheel abc4
     derivation cites a partition table by a number that does not exist.
     """
-    if n_probe < 3:
-        raise ValueError(f"n_probe must be >= 3, got {n_probe}")
+    floor = FAMILIES[DW].min_n(IndexKind.ABC4)
+    if n_probe < floor:
+        raise ValueError(f"n_probe must be >= {floor}, got {n_probe}")
     errata: list[Erratum] = []
 
     as_stated = closed_form(DW, IndexKind.ABC4, n_probe, Variant.AS_STATED).value
@@ -260,7 +243,7 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
     oracle = brute_force_value(DW, IndexKind.ABC4, n_probe)
     confirmed = (
         relative_error(proof_derived, oracle) <= DEFAULT_TOLERANCE
-        and relative_error(as_stated, oracle) > 0.10
+        and relative_error(as_stated, oracle) > MISMATCH_ERROR
     )
     if confirmed:
         errata.append(
@@ -280,9 +263,9 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
             )
         )
 
-    hanoi_probe = min(n_probe, HANOI_MAX_N)
+    hanoi_probe = min(n_probe, FAMILIES[HANOI].max_n)
     reconstructed = (3 ** (hanoi_probe + 1) - 33) // 2
-    enumerated = neighbor_sum_partition(hanoi(hanoi_probe)).classes.get((9, 9), 0)
+    enumerated = neighbor_sum_partition(FAMILIES[HANOI].build(hanoi_probe)).classes.get((9, 9), 0)
     errata.append(
         Erratum(
             location="hanoi neighbor-sum edge partition table",

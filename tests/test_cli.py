@@ -1,9 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from topoindices import Graph, double_wheel, from_edge_list
-from topoindices.cli import main
+from topoindices.cli import build_parser, main
+from topoindices.closed_forms import FAMILIES
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
 
@@ -102,6 +104,28 @@ class TestCompute:
         assert code == 0
         assert "sum_connectivity" in out
 
+    @pytest.mark.parametrize(
+        "family, n, index",
+        [("hanoi", "700", "all"), ("dw", str(10**155), "ga5")],
+        ids=["hanoi-700", "dw-1e155"],
+    )
+    def test_closed_overflow_exits_2(self, capsys, family, n, index):
+        code, out, err = run(
+            capsys, "compute", "--family", family, "--n", n, "--index", index, "--method", "closed"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows a float" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        code, out, err = run(
+            capsys, "compute", "--family", "dw", "--n", "3", "--method", "both", "--tol", tol
+        )
+        assert code == 2
+        assert out == ""
+        assert "0 < tol < 0.1" in err
+
     def test_hanoi_closed_beyond_generator_cap(self, capsys):
         # closed forms do not build the graph, so the size cap is irrelevant
         code, out, _ = run(
@@ -178,6 +202,17 @@ class TestVerify:
         assert code == 2
         assert "empty range" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        # at 0.9 the as-stated abc4 formula, which the errata call wrong, would pass
+        code, out, err = run(
+            capsys, "verify", "--family", "dw", "--index", "abc4", "--variant", "as-stated",
+            "--n-min", "3", "--n-max", "3", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert "0 < tol < 0.1" in err
+
     def test_half_specified_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "dw", "--n-min", "3")
         assert code == 2
@@ -229,3 +264,21 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--family", "dw", "--n", "3", "--wat"])
         assert exc.value.code == 2
+
+    def test_family_choices_come_from_registry(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        choices = {
+            command: action.choices
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions
+            if action.dest == "family"
+        }
+        assert choices == {
+            "generate": tuple(FAMILIES),
+            "compute": tuple(FAMILIES),
+            "partition": tuple(FAMILIES),
+            "verify": (*FAMILIES, "all"),
+        }

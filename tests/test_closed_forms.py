@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from topoindices import (
     hanoi_closed_form,
     hanoi_min_n,
 )
+from topoindices.closed_forms import FAMILIES
 
 ALL_KINDS = list(IndexKind)
 DEGREE_KINDS = [k for k in ALL_KINDS if k.labeling == "degree"]
@@ -128,10 +130,39 @@ class TestDispatch:
         assert closed_form("hanoi", IndexKind.GA, 5).family == "hanoi"
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError, match="family"):
+        known = re.escape(f"(known: {', '.join(FAMILIES)})")
+        with pytest.raises(ValueError, match=f"unknown family 'wheel' {known}"):
             closed_form("wheel", IndexKind.GA, 5)
 
     def test_result_fields(self):
         r = hanoi_closed_form(IndexKind.ABC, 4)
         assert (r.kind, r.n, r.variant) == (IndexKind.ABC, 4, Variant.PROOF_DERIVED)
         assert math.isfinite(r.value)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("form", [dw_closed_form, hanoi_closed_form])
+    @pytest.mark.parametrize("n", [True, False, 3.0, 3.5, "3", None])
+    def test_rejects_non_int_n(self, form, n):
+        with pytest.raises(TypeError, match="n must be an int"):
+            form(IndexKind.ABC, n)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_hanoi_overflow_is_value_error(self, kind):
+        assert math.isfinite(hanoi_closed_form(kind, 645).value)
+        for n in (700, 10**6):
+            with pytest.raises(ValueError, match=f"hanoi {kind.value} .* overflows a float at n = {n}"):
+                hanoi_closed_form(kind, n)
+
+    def test_dw_overflow_is_value_error(self):
+        # ga5 raises OverflowError inside the formula; ga comes out as inf
+        for kind, n in ((IndexKind.GA5, 10**155), (IndexKind.GA, 10**300)):
+            with pytest.raises(ValueError, match=f"dw {kind.value} .* overflows a float"):
+                dw_closed_form(kind, n)
+        assert math.isfinite(dw_closed_form(IndexKind.GA5, 10**150).value)
+
+    def test_floor_message_names_family_kind_and_n(self):
+        with pytest.raises(ValueError, match="dw randic closed form needs n >= 3, got 2"):
+            dw_closed_form(IndexKind.RANDIC, 2)
+        with pytest.raises(ValueError, match="hanoi ga5 closed form needs n >= 3, got 2"):
+            hanoi_closed_form(IndexKind.GA5, 2)

@@ -112,11 +112,6 @@ class TestHanoi:
         with pytest.raises(TypeError, match="n must be an int"):
             hanoi(n)
 
-    def test_cap_is_configurable(self):
-        with pytest.raises(ValueError):
-            hanoi(3, max_n=2)
-        assert hanoi(2, max_n=2).vertex_count == 9
-
 
 class TestEdgeListRoundTrip:
     @pytest.mark.parametrize("g", [double_wheel(5), hanoi(3), Graph(2, [(0, 1)])])

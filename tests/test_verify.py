@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -12,6 +14,7 @@ from topoindices import (
     verify_all,
     verify_family,
 )
+from topoindices.closed_forms import FAMILIES
 
 
 class TestVerifyFamily:
@@ -55,11 +58,15 @@ class TestVerifyFamily:
             verify_family("hanoi", kinds=(IndexKind.ABC,), n_range=(2, 20))
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            verify_family("dw", n_range=(3, 4), tolerance=0.0)
+        # 0.9 would pass the as-stated abc4, whose error is at least 0.718
+        for tolerance in (0.0, math.nan, math.inf, -1.0, 0.1, 0.9):
+            with pytest.raises(ValueError, match="0 < tol < 0.1"):
+                verify_family("dw", n_range=(3, 4), tolerance=tolerance)
+        assert verify_family("dw", n_range=(3, 3), tolerance=0.099).summary.failed == 0
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
+        known = re.escape(f"(known: {', '.join(FAMILIES)})")
+        with pytest.raises(ValueError, match=known):
             verify_family("petersen")
 
     def test_as_stated_variant_fails_for_abc4_only(self):
@@ -82,6 +89,17 @@ class TestVerifyAll:
         # dw block comes first, then hanoi
         assert families.index("hanoi") == families.count("dw") == 372
         assert report.summary.failed == 0
+
+    def test_default_ranges(self):
+        entries = [(e.family, e.kind, e.n) for e in verify_all().entries]
+        expected = [("dw", kind, n) for kind in IndexKind for n in range(3, 65)]
+        expected += [
+            ("hanoi", kind, n)
+            for kind in IndexKind
+            for n in range(2 if kind.labeling == "degree" else 3, 9)
+        ]
+        assert entries == expected
+        assert len(entries) == 412
 
     def test_combine_reports_concatenates(self):
         a = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 4), include_errata=False)
