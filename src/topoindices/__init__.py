@@ -15,13 +15,10 @@ from .closed_forms import (
     closed_form,
     dw_closed_form,
     hanoi_closed_form,
-    hanoi_min_n,
 )
 from .generators import HANOI_MAX_N, double_wheel, from_edge_list, hanoi, to_edge_list
 from .graph import Graph
 from .indices import (
-    DEGREE_KINDS,
-    NEIGHBOR_SUM_KINDS,
     IndexKind,
     compute_from_partition,
     compute_index,
@@ -54,12 +51,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_TOLERANCE",
     "DEGREE",
-    "DEGREE_KINDS",
     "DW",
     "HANOI",
     "HANOI_MAX_N",
     "NEIGHBOR_SUM",
-    "NEIGHBOR_SUM_KINDS",
     "ClosedFormResult",
     "EdgePartition",
     "Erratum",
@@ -82,7 +77,6 @@ __all__ = [
     "from_edge_list",
     "hanoi",
     "hanoi_closed_form",
-    "hanoi_min_n",
     "matching_partition",
     "neighbor_sum_partition",
     "relative_error",

@@ -23,12 +23,12 @@ from .partition import (
     DEGREE,
     NEIGHBOR_SUM,
     EdgePartition,
+    _lookup,
     degree_partition,
     neighbor_sum_partition,
 )
 from .verify import (
     DEFAULT_TOLERANCE,
-    VerificationEntry,
     check_tolerance,
     combine_reports,
     errata_report,
@@ -47,10 +47,14 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-# Columns of a closed-form check (compute --method both, verify) and of a
-# single value (compute --method brute|closed).
-CHECK_COLUMNS = ("family", "kind", "n", "variant", "oracle", "closed", "rel_error", "pass")
+# Columns of a closed-form check (compute --method both, verify), keys of
+# VerificationEntry.to_dict, and of a single value (compute --method brute|closed).
+CHECK_COLUMNS = (
+    "family", "kind", "n", "variant", "oracle_value", "closed_value", "rel_error", "pass"
+)
 VALUE_COLUMNS = ("family", "kind", "n", "method", "value")
+# CSV headers that shorten their column's key.
+_HEADERS = {"oracle_value": "oracle", "closed_value": "closed"}
 
 
 def _csv_cell(value: object) -> str:
@@ -64,21 +68,9 @@ def _csv_cell(value: object) -> str:
 
 
 def _render_csv(columns: tuple[str, ...], records: list[dict]) -> str:
+    header = ",".join(_HEADERS.get(column, column) for column in columns)
     rows = [",".join(_csv_cell(rec[column]) for column in columns) for rec in records]
-    return "\n".join([",".join(columns), *rows]) + "\n"
-
-
-def _check_record(entry: VerificationEntry) -> dict:
-    return {
-        "family": entry.family,
-        "kind": entry.kind.value,
-        "n": entry.n,
-        "variant": entry.variant.value,
-        "oracle": entry.oracle_value,
-        "closed": entry.closed_value,
-        "rel_error": entry.rel_error,
-        "pass": entry.passed,
-    }
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -130,10 +122,7 @@ def _compute_records(args: argparse.Namespace) -> list[dict]:
         graph = get_family(family).build(n)
 
     if args.method == "both":
-        return [
-            _check_record(verify_entry(family, kind, n, graph, args.tol, variant))
-            for kind in kinds
-        ]
+        return [verify_entry(family, kind, n, graph, args.tol, variant).to_dict() for kind in kinds]
     records = []
     for kind in kinds:
         rec: dict = {"family": family, "kind": kind.value, "n": n}
@@ -155,7 +144,8 @@ def _render_compute_text(records: list[dict], method: str) -> str:
     for rec in records:
         if method == "both":
             lines.append(
-                f"{rec['kind']}: oracle={_fmt(rec['oracle'])} closed={_fmt(rec['closed'])} "
+                f"{rec['kind']}: oracle={_fmt(rec['oracle_value'])} "
+                f"closed={_fmt(rec['closed_value'])} "
                 f"rel_error={_fmt(rec['rel_error'])} pass={str(rec['pass']).lower()}"
             )
         else:
@@ -182,15 +172,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _resolve_partition(args: argparse.Namespace) -> EdgePartition:
+    classify = _lookup(
+        "mode", args.mode, {DEGREE: degree_partition, NEIGHBOR_SUM: neighbor_sum_partition}
+    )
     graph, family, n = _load_source(args)
-    if graph is None:
-        graph = get_family(family).build(n)
-    mode = args.mode.strip().lower().replace("-", "_")
-    if mode == DEGREE:
-        return degree_partition(graph)
-    if mode == NEIGHBOR_SUM:
-        return neighbor_sum_partition(graph)
-    raise ValueError(f"unknown mode {args.mode!r} (known: degree, neighbor-sum)")
+    return classify(graph if graph is not None else get_family(family).build(n))
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -228,7 +214,6 @@ def _verify_report(args: argparse.Namespace):
                 n_range=n_range,
                 tolerance=args.tol,
                 variant=variant,
-                include_errata=False,
             )
             for family in families
         ]
@@ -238,7 +223,7 @@ def _verify_report(args: argparse.Namespace):
 def cmd_verify(args: argparse.Namespace) -> int:
     report = _verify_report(args)
     if args.format == "csv":
-        text = _render_csv(CHECK_COLUMNS, [_check_record(e) for e in report.entries])
+        text = _render_csv(CHECK_COLUMNS, [e.to_dict() for e in report.entries])
     else:
         text = report.to_json() + "\n"
     _write_output(text, args.out)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .generators import HANOI_MAX_N, _require_int, double_wheel, hanoi
 from .graph import Graph
 from .indices import IndexKind
-from .partition import NEIGHBOR_SUM
+from .partition import NEIGHBOR_SUM, _lookup
 
 DW = "dw"
 HANOI = "hanoi"
@@ -44,11 +44,8 @@ class Variant(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> Variant:
-        normalized = name.strip().lower().replace("-", "_")
-        for variant in cls:
-            if variant.value == normalized:
-                return variant
-        raise ValueError(f"unknown variant {name!r} (known: as_stated, proof_derived)")
+        """Look up a variant by name; hyphens, case and surrounding spaces are forgiven."""
+        return _lookup("variant", name, {variant.value: variant for variant in cls})
 
 
 @dataclass(frozen=True)
@@ -119,16 +116,6 @@ def dw_closed_form(
     return ClosedFormResult(DW, kind, n, variant, value, False)
 
 
-def hanoi_min_n(kind: IndexKind) -> int:
-    """Smallest n the Hanoi closed form for ``kind`` is valid at.
-
-    The degree partition stabilizes at n = 2, the neighbor-sum partition
-    at n = 3 (at n = 2 the corner triangles touch and the edge classes
-    differ), so the neighbor-sum kinds need n >= 3.
-    """
-    return FAMILIES[HANOI].min_n(kind)
-
-
 @_checked(HANOI)
 def hanoi_closed_form(
     kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED
@@ -194,6 +181,9 @@ FAMILIES: dict[str, Family] = {
     ),
     HANOI: Family(
         name=HANOI,
+        # The degree partition stabilizes at n = 2, the neighbor-sum partition
+        # at n = 3 (at n = 2 the corner triangles touch and the edge classes
+        # differ), so the neighbor-sum kinds need n >= 3.
         min_n=lambda kind: 3 if kind.labeling == NEIGHBOR_SUM else 2,
         max_n=HANOI_MAX_N,
         default_max_n=8,

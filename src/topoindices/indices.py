@@ -24,6 +24,7 @@ from .partition import (
     DEGREE,
     NEIGHBOR_SUM,
     EdgePartition,
+    _lookup,
     degree_partition,
     neighbor_sum_partition,
 )
@@ -46,17 +47,8 @@ class IndexKind(enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> IndexKind:
-        """Look up a kind by name; hyphens and case are forgiven."""
-        normalized = name.strip().lower().replace("-", "_")
-        for kind in cls:
-            if kind.value == normalized:
-                return kind
-        known = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown index {name!r} (known: {known})")
-
-
-DEGREE_KINDS = (IndexKind.RANDIC, IndexKind.SUM_CONNECTIVITY, IndexKind.ABC, IndexKind.GA)
-NEIGHBOR_SUM_KINDS = (IndexKind.ABC4, IndexKind.GA5)
+        """Look up a kind by name; hyphens, case and surrounding spaces are forgiven."""
+        return _lookup("index", name, {kind.value: kind for kind in cls})
 
 
 def edge_term(kind: IndexKind, a: int, b: int) -> float:

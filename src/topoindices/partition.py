@@ -10,11 +10,24 @@ per graph; each partition holds its own copy, free to mutate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .graph import Graph
 
 DEGREE = "degree"
 NEIGHBOR_SUM = "neighbor_sum"
+
+_T = TypeVar("_T")
+
+
+def _lookup(what: str, name: str, table: dict[str, _T]) -> _T:
+    """``table[name]`` with case, hyphens and surrounding spaces forgiven;
+    ``ValueError`` lists the known names. The one lookup for index kinds,
+    closed-form variants and partition modes."""
+    key = name.strip().lower().replace("-", "_")
+    if key not in table:
+        raise ValueError(f"unknown {what} {name!r} (known: {', '.join(table)})")
+    return table[key]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ serialize deterministically so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
 from .graph import Graph
@@ -61,12 +61,7 @@ class Summary:
     max_rel_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "passed": self.passed,
-            "failed": self.failed,
-            "max_rel_error": self.max_rel_error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,11 +71,7 @@ class Erratum:
     evidence: dict
 
     def to_dict(self) -> dict:
-        return {
-            "location": self.location,
-            "description": self.description,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -140,10 +131,12 @@ def verify_entry(
     )
 
 
-def _summarize(entries: tuple[VerificationEntry, ...]) -> Summary:
+def _report(entries: tuple[VerificationEntry, ...]) -> VerificationReport:
+    """``entries`` under their summary, with the errata."""
     passed = sum(1 for e in entries if e.passed)
     max_err = max((e.rel_error for e in entries), default=0.0)
-    return Summary(len(entries), passed, len(entries) - passed, max_err)
+    summary = Summary(len(entries), passed, len(entries) - passed, max_err)
+    return VerificationReport(entries, summary, tuple(errata_report()))
 
 
 def verify_family(
@@ -152,7 +145,6 @@ def verify_family(
     n_range: tuple[int, int] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     variant: Variant = Variant.PROOF_DERIVED,
-    include_errata: bool = True,
 ) -> VerificationReport:
     """Verify every (kind, n) closed form for one family against brute force.
 
@@ -161,13 +153,16 @@ def verify_family(
     explicit range applies to every requested kind and must respect each
     kind's validity floor and the generator size cap.
 
-    Entries are listed in (family, kind, n) order regardless of how they
-    were computed.
+    Entries are listed in :class:`IndexKind` order, then by n, whatever the
+    order of ``kinds``. The report carries the errata.
     """
     record = get_family(family)
     check_tolerance(tolerance)
     if kinds is None:
         kinds = tuple(IndexKind)
+    elif not set(kinds) <= set(IndexKind):
+        raise TypeError(f"kinds must be IndexKind members, got {kinds!r}")
+    kinds = tuple(kind for kind in IndexKind if kind in kinds)
 
     ranges: dict[IndexKind, tuple[int, int]] = {}
     for kind in kinds:
@@ -188,27 +183,21 @@ def verify_family(
 
     # Build each graph once and reuse it across kinds.
     graphs: dict[int, Graph] = {}
-    results: dict[tuple[int, int], VerificationEntry] = {}
-    kind_order = {kind: i for i, kind in enumerate(IndexKind)}
+    entries = []
     for kind in kinds:
         lo, hi = ranges[kind]
         for n in range(lo, hi + 1):
             if n not in graphs:
                 graphs[n] = record.build(n)
-            results[(kind_order[kind], n)] = verify_entry(
-                family, kind, n, graphs[n], tolerance, variant
-            )
+            entries.append(verify_entry(family, kind, n, graphs[n], tolerance, variant))
 
-    entries = tuple(results[key] for key in sorted(results))
-    errata = errata_report() if include_errata else ()
-    return VerificationReport(entries, _summarize(entries), tuple(errata))
+    return _report(tuple(entries))
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
     """Concatenate entries from several reports under one summary; errata
     are recomputed so the combined report carries them exactly once."""
-    entries = tuple(e for report in reports for e in report.entries)
-    return VerificationReport(entries, _summarize(entries), tuple(errata_report()))
+    return _report(tuple(e for report in reports for e in report.entries))
 
 
 def verify_all(
@@ -217,10 +206,7 @@ def verify_all(
 ) -> VerificationReport:
     """Verify both families over their default ranges in one report."""
     return combine_reports(
-        [
-            verify_family(family, tolerance=tolerance, variant=variant, include_errata=False)
-            for family in FAMILIES
-        ]
+        [verify_family(family, tolerance=tolerance, variant=variant) for family in FAMILIES]
     )
 
 
@@ -232,10 +218,12 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
     static documentation errata: the neighbor-sum partition table for the
     Hanoi family omits its largest edge class, and the double-wheel abc4
     derivation cites a partition table by a number that does not exist.
+    The Hanoi evidence is enumerated on ``hanoi(n_probe)``, so ``n_probe``
+    must not exceed the Hanoi generator cap.
     """
-    floor = FAMILIES[DW].min_n(IndexKind.ABC4)
-    if n_probe < floor:
-        raise ValueError(f"n_probe must be >= {floor}, got {n_probe}")
+    floor, cap = FAMILIES[DW].min_n(IndexKind.ABC4), FAMILIES[HANOI].max_n
+    if not floor <= n_probe <= cap:
+        raise ValueError(f"n_probe must satisfy {floor} <= n_probe <= {cap}, got {n_probe}")
     errata: list[Erratum] = []
 
     as_stated = closed_form(DW, IndexKind.ABC4, n_probe, Variant.AS_STATED).value
@@ -263,9 +251,8 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
             )
         )
 
-    hanoi_probe = min(n_probe, FAMILIES[HANOI].max_n)
-    reconstructed = (3 ** (hanoi_probe + 1) - 33) // 2
-    enumerated = neighbor_sum_partition(FAMILIES[HANOI].build(hanoi_probe)).classes.get((9, 9), 0)
+    reconstructed = (3 ** (n_probe + 1) - 33) // 2
+    enumerated = neighbor_sum_partition(FAMILIES[HANOI].build(n_probe)).classes.get((9, 9), 0)
     errata.append(
         Erratum(
             location="hanoi neighbor-sum edge partition table",
@@ -275,7 +262,7 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
                 "partition and matches direct enumeration"
             ),
             evidence={
-                "n": hanoi_probe,
+                "n": n_probe,
                 "reconstructed_count": reconstructed,
                 "enumerated_count": enumerated,
             },

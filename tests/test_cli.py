@@ -1,10 +1,11 @@
 import argparse
 import json
+import re
 
 import pytest
 
-from topoindices import Graph, double_wheel, from_edge_list
-from topoindices.cli import build_parser, main
+from topoindices import Graph, IndexKind, Variant, double_wheel, from_edge_list
+from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
@@ -95,6 +96,24 @@ class TestCompute:
         lines = out.strip().splitlines()
         assert lines[0] == "family,kind,n,method,value"
         assert len(lines) == 7
+
+    @pytest.mark.parametrize(
+        "family, n, extra",
+        [("hanoi", "4", []), ("dw", "5", ["--variant", "as-stated"])],
+        ids=["hanoi", "dw-as-stated"],
+    )
+    def test_both_json_is_the_report_entry_shape(self, capsys, family, n, extra):
+        code, out, _ = run(
+            capsys, "compute", "--family", family, "--n", n, "--method", "both",
+            "--format", "json", *extra,
+        )
+        assert code == 0
+        records = json.loads(out)
+        _, out, _ = run(capsys, "verify", "--family", family, "--n-min", n, "--n-max", n, *extra)
+        entries = json.loads(out)["entries"]
+        # Same keys in the same order, same values, one record per kind.
+        assert [list(r.items()) for r in records] == [list(e.items()) for e in entries]
+        assert len(records) == len(IndexKind)
 
     def test_closed_accepts_hyphenated_index_and_variant(self, capsys):
         code, out, _ = run(
@@ -241,6 +260,13 @@ class TestVerify:
 
 
 class TestErrata:
+    def test_probe_above_hanoi_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "errata", "--n", str(FAMILIES["hanoi"].max_n + 1))
+        assert code == 2
+        assert out == ""
+        assert "n_probe" in err
+        assert "Traceback" not in err
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "errata")
         assert code == 0
@@ -282,3 +308,50 @@ class TestArgparseContract:
             "partition": tuple(FAMILIES),
             "verify": (*FAMILIES, "all"),
         }
+
+
+def _partition_mode(name):
+    args = argparse.Namespace(mode=name, edges=None, family="dw", n=3)
+    return _resolve_partition(args).mode
+
+
+# lookup (canonical name in, canonical name out), its known names, and the
+# command line that ends in the looked-up option
+NAME_LOOKUPS = [
+    (
+        lambda name: IndexKind.parse(name).value,
+        [kind.value for kind in IndexKind],
+        ["compute", "--family", "dw", "--n", "3", "--index"],
+    ),
+    (
+        lambda name: Variant.parse(name).value,
+        [variant.value for variant in Variant],
+        ["compute", "--family", "dw", "--n", "3", "--method", "closed", "--variant"],
+    ),
+    (
+        _partition_mode,
+        ["degree", "neighbor_sum"],
+        ["partition", "--family", "dw", "--n", "3", "--mode"],
+    ),
+]
+SPELLINGS = [
+    str,
+    str.upper,
+    lambda name: name.replace("_", "-"),
+    lambda name: f"  {name} ",
+    lambda name: f" {name.title().replace('_', '-')}\t",
+]
+
+
+@pytest.mark.parametrize("lookup, known, argv", NAME_LOOKUPS, ids=["index", "variant", "mode"])
+def test_name_lookups_share_spellings_and_errors(capsys, lookup, known, argv):
+    for name in known:
+        for spell in SPELLINGS:
+            assert lookup(spell(name)) == name
+    listed = f"(known: {', '.join(known)})"
+    with pytest.raises(ValueError, match=re.escape(listed)):
+        lookup("zagreb")
+    code, out, err = run(capsys, *argv, "zagreb")
+    assert code == 2
+    assert out == ""
+    assert listed in err

@@ -12,7 +12,6 @@ from topoindices import (
     dw_closed_form,
     hanoi,
     hanoi_closed_form,
-    hanoi_min_n,
 )
 from topoindices.closed_forms import FAMILIES
 
@@ -82,17 +81,17 @@ class TestHanoiForms:
 
     def test_validity_floors(self):
         for kind in DEGREE_KINDS:
-            assert hanoi_min_n(kind) == 2
+            assert FAMILIES["hanoi"].min_n(kind) == 2
             with pytest.raises(ValueError):
                 hanoi_closed_form(kind, 1)
         for kind in S_KINDS:
-            assert hanoi_min_n(kind) == 3
+            assert FAMILIES["hanoi"].min_n(kind) == 3
             with pytest.raises(ValueError):
                 hanoi_closed_form(kind, 2)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_variants_coincide(self, kind):
-        n = hanoi_min_n(kind)
+        n = FAMILIES["hanoi"].min_n(kind)
         assert (
             hanoi_closed_form(kind, n, Variant.AS_STATED).value
             == hanoi_closed_form(kind, n, Variant.PROOF_DERIVED).value
@@ -104,7 +103,7 @@ class TestHanoiForms:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_oracle_at_small_n(self, kind):
-        for n in range(hanoi_min_n(kind), 6):
+        for n in range(FAMILIES["hanoi"].min_n(kind), 6):
             oracle = compute_index(hanoi(n), kind)
             value = hanoi_closed_form(kind, n).value
             assert value == pytest.approx(oracle, rel=1e-11)

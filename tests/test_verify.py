@@ -30,10 +30,17 @@ class TestVerifyFamily:
         assert report.summary.failed == 0
 
     def test_entries_sorted_by_kind_then_n(self):
-        report = verify_family("dw", n_range=(3, 5))
-        keys = [(e.kind, e.n) for e in report.entries]
         order = {kind: i for i, kind in enumerate(IndexKind)}
-        assert keys == sorted(keys, key=lambda t: (order[t[0]], t[1]))
+        for kinds in (None, tuple(reversed(IndexKind))):
+            report = verify_family("dw", kinds=kinds, n_range=(3, 5))
+            keys = [(e.kind, e.n) for e in report.entries]
+            assert keys == sorted(keys, key=lambda t: (order[t[0]], t[1]))
+            assert len(keys) == 6 * 3
+
+    def test_kinds_must_be_index_kinds(self):
+        # A name instead of a member must not yield an empty, passing report.
+        with pytest.raises(TypeError, match="IndexKind"):
+            verify_family("dw", kinds=("abc",), n_range=(3, 4))
 
     def test_summary_consistent_with_entries(self):
         report = verify_family("hanoi", n_range=None)
@@ -102,8 +109,8 @@ class TestVerifyAll:
         assert len(entries) == 412
 
     def test_combine_reports_concatenates(self):
-        a = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 4), include_errata=False)
-        b = verify_family("hanoi", kinds=(IndexKind.GA,), n_range=(2, 3), include_errata=False)
+        a = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 4))
+        b = verify_family("hanoi", kinds=(IndexKind.GA,), n_range=(2, 3))
         combined = combine_reports([a, b])
         assert len(combined.entries) == 4
         assert combined.summary.total == 4
@@ -151,8 +158,11 @@ class TestErrata:
         assert relative_error(ev["as_stated"], ev["oracle"]) > 0.10
 
     def test_probe_floor(self):
-        with pytest.raises(ValueError):
-            errata_report(2)
+        # Above the Hanoi generator cap too: the Hanoi evidence is enumerated
+        # on hanoi(n_probe), which is never clamped to the cap.
+        for n_probe in (2, FAMILIES["hanoi"].max_n + 1):
+            with pytest.raises(ValueError, match="n_probe"):
+                errata_report(n_probe)
 
 
 class TestReportSerialization:
