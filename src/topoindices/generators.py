@@ -39,17 +39,20 @@ def double_wheel(n: int) -> Graph:
     """Two disjoint n-cycles whose vertices all join a common hub.
 
     The result has ``2n + 1`` vertices and ``4n`` edges; the hub has degree
-    ``2n`` and every ring vertex has degree 3.
+    ``2n`` and every ring vertex has degree 3. The neighbor lists are
+    written down directly (the hub's is ``1..2n``, each ring vertex's is
+    hub, previous, next) and passed to :meth:`Graph.from_adjacency`.
     """
     _require_int(n)
     if n < 3:
         raise ValueError(f"double_wheel requires n >= 3, got {n} (a ring of size {n} is not a cycle)")
-    edges: list[tuple[int, int]] = []
-    for start in (1, n + 1):
-        for i in range(n):
-            edges.append((start + i, start + (i + 1) % n))
-    edges.extend((0, v) for v in range(1, 2 * n + 1))
-    return Graph(2 * n + 1, edges)
+    adj: list[list[int]] = [list(range(1, 2 * n + 1))]
+    for first in (1, n + 1):
+        last = first + n - 1
+        adj.append([0, last, first + 1])
+        adj.extend([0, v - 1, v + 1] for v in range(first + 1, last))
+        adj.append([0, last - 1, first])
+    return Graph.from_adjacency(adj)
 
 
 def hanoi(n: int) -> Graph:
@@ -88,38 +91,54 @@ def from_edge_list(text: str) -> Graph:
 
     Format: one edge per line as two whitespace-separated 0-based vertex
     ids; lines starting with ``#`` and blank lines are ignored; the vertex
-    count is the largest id plus one. Self-loops, duplicate edges (in
-    either orientation) and disconnected graphs are rejected.
+    count is the largest id plus one.
+
+    Each line is checked as it is read, and the first bad line raises
+    ``ValueError`` naming it: the field count, integer ids, non-negative
+    ids, no self-loop, no duplicate edge (in either orientation), and an id
+    no larger than the number of input lines. A connected graph on ``V``
+    vertices needs at least ``V - 1`` edges, so a larger id means a
+    disconnected graph; it is rejected before any vertex is allocated.
+    Each edge is then linked straight into both endpoints' neighbor sets,
+    so range, self-loops and symmetry hold by construction. After the last
+    line only non-emptiness and connectivity are checked.
     """
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two vertex ids, got {line!r}")
+    lines = text.splitlines()
+    line_count = len(lines)
+    adj: list[set[int]] = []
+    for lineno, raw in enumerate(lines, start=1):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = raw.split()
+            u, v = int(a), int(b)
         except ValueError:
-            raise ValueError(
-                f"line {lineno}: vertex ids must be integers, got {line!r}"
-            ) from None
+            # the rare lines: blank, comment or malformed
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
+            raise ValueError(f"line {lineno}: {what}, got {raw.strip()!r}") from None
         if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: vertex ids must be non-negative, got {line!r}")
+            raise ValueError(
+                f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
+            )
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-        if key[1] > max_id:
-            max_id = key[1]
-    g = Graph(max_id + 1, edges)
-    problem = g.validate()
+        hi = u if u > v else v
+        if hi >= len(adj):
+            if hi > line_count:
+                raise ValueError(
+                    f"line {lineno}: vertex id {hi} is larger than the number of input "
+                    f"lines ({line_count}), so the graph is disconnected: a connected "
+                    f"graph on {hi + 1} vertices needs at least {hi} edges"
+                )
+            adj.extend([set() for _ in range(hi + 1 - len(adj))])
+        nbrs = adj[u]
+        if v in nbrs:
+            raise ValueError(f"line {lineno}: duplicate edge {(min(u, v), hi)}")
+        nbrs.add(v)
+        adj[v].add(u)
+    g = Graph.from_adjacency(adj)
+    problem = g._connectivity_problem()
     if problem is not None:
         raise ValueError(problem)
     return g

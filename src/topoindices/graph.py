@@ -98,9 +98,8 @@ class Graph:
             return self._classes
         adj = self._adj
         degrees = [len(nbrs) for nbrs in adj]
-        labels = [
-            (degrees[v], sum([degrees[u] for u in nbrs])) for v, nbrs in enumerate(adj)
-        ]
+        degree_of = degrees.__getitem__
+        labels = [(d, sum(map(degree_of, nbrs))) for d, nbrs in zip(degrees, adj)]
         # Count each edge u < v under its ordered label pair, then fold
         # (a, b) and (b, a) together; distinct pairs are usually few.
         pairs = Counter(
@@ -126,8 +125,6 @@ class Graph:
         self-loops, symmetric adjacency, connectivity.
         """
         n = len(self._adj)
-        if n == 0:
-            return "graph has no vertices"
         for v, nbrs in enumerate(self._adj):
             for u in nbrs:
                 if not (0 <= u < n):
@@ -139,12 +136,23 @@ class Graph:
                         f"asymmetric adjacency: {u} is a neighbor of {v} "
                         f"but {v} is not a neighbor of {u}"
                     )
+        return self._connectivity_problem()
+
+    def _connectivity_problem(self) -> str | None:
+        """Return ``None`` if the graph is non-empty and connected, else why not.
+
+        Assumes every neighbor id is in range.
+        """
+        adj = self._adj
+        n = len(adj)
+        if n == 0:
+            return "graph has no vertices"
         seen = {0}
         frontier = [0]
         while frontier:
             nxt = []
             for v in frontier:
-                for u in self._adj[v]:
+                for u in adj[v]:
                     if u not in seen:
                         seen.add(u)
                         nxt.append(u)

@@ -15,6 +15,19 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 50) -> Graph:
     return Graph(n, edges)
 
 
+def reference_double_wheel(n: int) -> Graph:
+    """Double wheel from its edge list: both rings, then the hub's spokes.
+
+    Same numbering as :func:`topoindices.double_wheel`.
+    """
+    edges: list[tuple[int, int]] = []
+    for start in (1, n + 1):
+        for i in range(n):
+            edges.append((start + i, start + (i + 1) % n))
+    edges.extend((0, v) for v in range(1, 2 * n + 1))
+    return Graph(2 * n + 1, edges)
+
+
 def reference_hanoi(n: int) -> Graph:
     """Hanoi graph by the move rule, one state at a time.
 

@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,9 @@ from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
+SRC_PATH = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def run(capsys, *argv):
@@ -190,6 +197,33 @@ class TestPartition:
     def test_unknown_mode_exits_2(self, capsys):
         code, _, err = run(capsys, "partition", "--family", "dw", "--n", "3", "--mode", "color")
         assert code == 2
+
+
+class TestEdgesInput:
+    @pytest.mark.parametrize("command", ["compute", "partition"])
+    def test_malformed_file_exits_2_without_traceback(self, tmp_path, command):
+        path = tmp_path / "dup.txt"
+        path.write_text("0 1\n1 2\n1 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoindices", command, "--edges", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 3: duplicate edge (0, 1)\n"
+
+    @pytest.mark.parametrize("command", ["compute", "partition"])
+    def test_vertex_id_beyond_line_count_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "far.txt"
+        path.write_text("0 100000\n")
+        code, out, err = run(capsys, command, "--edges", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: vertex id 100000 ")
+        assert "disconnected" in err
 
 
 class TestVerify:

@@ -1,8 +1,9 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from conftest import reference_hanoi
+from conftest import reference_double_wheel, reference_hanoi
 from topoindices import (
     Graph,
     double_wheel,
@@ -47,6 +48,10 @@ class TestDoubleWheel:
     def test_rejects_non_int_n(self, n):
         with pytest.raises(TypeError, match="n must be an int"):
             double_wheel(n)
+
+    @pytest.mark.parametrize("n", [*range(3, 61), 1000])
+    def test_matches_edge_list_reference(self, n):
+        assert double_wheel(n) == reference_double_wheel(n)
 
     def test_ring_structure(self):
         # hub 0, rings 1..n and n+1..2n, consecutive around each cycle
@@ -159,3 +164,45 @@ class TestFromEdgeList:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             from_edge_list("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n  1 2 3 \n", "line 2: expected two vertex ids, got '1 2 3'"),
+            ("0 1\n1 2\n 1 x\n", "line 3: vertex ids must be integers, got '1 x'"),
+            ("# c\n\t-1 0\n", "line 2: vertex ids must be non-negative, got '-1 0'"),
+            ("0 1\n1 1\n", "line 2: self-loop at vertex 1"),
+            ("0 1\n2 1\n\n0 2\n2 0\n", "line 5: duplicate edge (0, 2)"),
+            ("0 1\n2 3\n# pad\n", "graph is disconnected: 2 of 4 vertices reachable from vertex 0"),
+            ("0 2\n# pad\n", "graph is disconnected: 2 of 3 vertices reachable from vertex 0"),
+            (
+                "0 1\n1 3\n",
+                "line 2: vertex id 3 is larger than the number of input lines (2), so the graph "
+                "is disconnected: a connected graph on 4 vertices needs at least 3 edges",
+            ),
+            ("", "graph has no vertices"),
+            ("# only a comment\n\n", "graph has no vertices"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError) as info:
+            from_edge_list(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, lineno", [("0 100000", 1), ("0 1\n1 2\n2 100000\n", 3)])
+    def test_id_beyond_line_count_rejected_before_allocating(self, text, lineno):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^line {lineno}: .*disconnected"):
+                from_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one set per vertex id up to 100000 would take about 20 MB
+        assert peak < 1_000_000
+
+    def test_largest_id_may_equal_line_count(self):
+        # a path on k + 1 vertices has k edges, so its largest id is k
+        g = from_edge_list("".join(f"{i} {i + 1}\n" for i in range(50)))
+        assert g.vertex_count == 51
+        assert g.edge_count() == 50

@@ -118,6 +118,19 @@ def test_edge_list_round_trip(g):
     assert from_edge_list(to_edge_list(g)) == g
 
 
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_edge_list_reader_ignores_layout(g, rng):
+    lines = []
+    for u, v in g.edges():
+        if rng.random() < 0.5:
+            u, v = v, u
+        pad = [rng.choice(["", " ", "\t", "  "]) for _ in range(3)]
+        lines.append(f"{pad[0]}{u}{pad[1] or ' '}{v}{pad[2]}")
+    lines += rng.choices(["", "   ", "# comment", "  # 1 2", "#3 4"], k=rng.randint(0, len(lines)))
+    rng.shuffle(lines)
+    assert from_edge_list("\n".join(lines)) == g
+
+
 @given(connected_graphs())
 def test_edges_deterministic(g):
     assert g.edges() == g.edges()
