@@ -16,7 +16,7 @@ from .closed_forms import (
     dw_closed_form,
     hanoi_closed_form,
 )
-from .generators import HANOI_MAX_N, double_wheel, from_edge_list, hanoi, to_edge_list
+from .generators import DW_MAX_N, HANOI_MAX_N, double_wheel, from_edge_list, hanoi, to_edge_list
 from .graph import Graph
 from .indices import (
     IndexKind,
@@ -52,6 +52,7 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "DEGREE",
     "DW",
+    "DW_MAX_N",
     "HANOI",
     "HANOI_MAX_N",
     "NEIGHBOR_SUM",

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .generators import HANOI_MAX_N, _require_int, double_wheel, hanoi
+from .generators import DW_MAX_N, HANOI_MAX_N, _require_int, double_wheel, hanoi
 from .graph import Graph
 from .indices import IndexKind
 from .partition import NEIGHBOR_SUM, _lookup
@@ -153,14 +153,14 @@ class Family:
     """One graph family: its name, generator, closed forms and size limits.
 
     ``min_n(kind)`` is the smallest ``n`` at which the closed form for
-    ``kind`` holds. ``max_n`` is the generator's size cap, or ``None`` when
-    the generator has none. Each kind's default verification range is
+    ``kind`` holds. ``max_n`` is the generator's size cap; closed forms are
+    not capped. Each kind's default verification range is
     ``(min_n(kind), default_max_n)``.
     """
 
     name: str
     min_n: Callable[[IndexKind], int]
-    max_n: int | None
+    max_n: int
     default_max_n: int
     build: Callable[[int], Graph]
     closed_form: Callable[[IndexKind, int, Variant], ClosedFormResult]
@@ -174,7 +174,7 @@ FAMILIES: dict[str, Family] = {
     DW: Family(
         name=DW,
         min_n=lambda kind: 3,
-        max_n=None,
+        max_n=DW_MAX_N,
         default_max_n=64,
         build=lambda n: double_wheel(n),
         closed_form=lambda kind, n, variant: dw_closed_form(kind, n, variant),

@@ -21,12 +21,23 @@ peg ``p``.
 
 from __future__ import annotations
 
-from .graph import Graph
+from array import array
+from itertools import accumulate, chain
 
+from .graph import TYPECODE, Graph
+
+# Size caps of the generators, so that no build the CLI allows passes 1 GB
+# resident (peaks measured with getrusage on a 64-bit Linux build of
+# CPython 3.11).
+#
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) and
-# computing all six indices peaks near 0.7 GB resident; each further disc
+# computing all six indices peaks at 116 MB resident; each further disc
 # triples that.
 HANOI_MAX_N = 13
+
+# double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
+# 214 MB resident; `generate`, which also holds the edge-list text, at 870 MB.
+DW_MAX_N = 10**6
 
 
 def _require_int(n: object) -> None:
@@ -39,20 +50,28 @@ def double_wheel(n: int) -> Graph:
     """Two disjoint n-cycles whose vertices all join a common hub.
 
     The result has ``2n + 1`` vertices and ``4n`` edges; the hub has degree
-    ``2n`` and every ring vertex has degree 3. The neighbor lists are
-    written down directly (the hub's is ``1..2n``, each ring vertex's is
-    hub, previous, next) and passed to :meth:`Graph.from_adjacency`.
+    ``2n`` and every ring vertex has degree 3. The CSR columns are written
+    directly: the hub's row is ``1..2n``, each ring vertex's row is hub,
+    previous, next.
     """
     _require_int(n)
     if n < 3:
         raise ValueError(f"double_wheel requires n >= 3, got {n} (a ring of size {n} is not a cycle)")
-    adj: list[list[int]] = [list(range(1, 2 * n + 1))]
+    if n > DW_MAX_N:
+        raise ValueError(f"double_wheel size cap is n <= {DW_MAX_N}, got {n}")
+    ring = 2 * n
+    # ring vertex v = 1..2n: previous v - 1, next v + 1, wrapped within its cycle
+    previous = array(TYPECODE, range(ring))
+    following = array(TYPECODE, range(2, ring + 2))
     for first in (1, n + 1):
         last = first + n - 1
-        adj.append([0, last, first + 1])
-        adj.extend([0, v - 1, v + 1] for v in range(first + 1, last))
-        adj.append([0, last - 1, first])
-    return Graph.from_adjacency(adj)
+        previous[first - 1] = last
+        following[last - 1] = first
+    rows = array(TYPECODE, bytes(3 * ring * previous.itemsize))  # hub slots stay 0
+    rows[1::3] = previous
+    rows[2::3] = following
+    offsets = array(TYPECODE, chain((0,), range(ring, 4 * ring + 1, 3)))
+    return Graph._from_csr(offsets, array(TYPECODE, range(1, ring + 1)) + rows)
 
 
 def hanoi(n: int) -> Graph:
@@ -63,27 +82,46 @@ def hanoi(n: int) -> Graph:
     ``3 * (3**n - 1) // 2`` edges, exactly three degree-2 vertices (the
     all-on-one-peg states), and degree 3 everywhere else.
 
-    Built level by level from H_0, the single state with no discs. Level k
-    copies H_(k-1) once per peg ``p`` of the new largest disc: each edge
-    ``{u, w}`` becomes ``{3u+p, 3w+p}``. The largest disc can move between
-    pegs ``p`` and ``q`` only when every smaller disc sits on the third peg
-    ``r``, in state ``c = r * (3**(k-1) - 1) // 2``; those three moves are
-    the bridge edges ``{3c+p, 3c+q}`` (Hinz et al., 2013).
+    Built level by level from H_1, the triangle. Level k copies H_(k-1)
+    once per peg ``p`` of the new largest disc: each edge ``{u, w}``
+    becomes ``{3u+p, 3w+p}``. The largest disc can move between pegs ``p``
+    and ``q`` only when every smaller disc sits on the third peg ``r``, in
+    state ``c = r * (3**(k-1) - 1) // 2``; those three moves are the bridge
+    edges ``{3c+p, 3c+q}`` (Hinz et al., 2013).
+
+    Every row is 3 slots wide while the levels are built. The three
+    degree-2 corners hold a negative pad in slot 2, and a level's copies
+    stay negative, so each bridge lands in the pad of a corner of its
+    copy. Copying is one slice assignment per peg and slot:
+    ``new[3p+j::9]`` is slot ``j`` of every row, tripled and shifted by
+    ``p``. The last three pads are deleted at the end.
     """
     _require_int(n)
     if n < 1:
         raise ValueError(f"hanoi requires n >= 1, got {n}")
     if n > HANOI_MAX_N:
         raise ValueError(f"hanoi size cap is n <= {HANOI_MAX_N}, got {n}")
-    adj: list[list[int]] = [[]]
-    for k in range(1, n + 1):
-        adj = [[3 * w + p for w in nbrs] for nbrs in adj for p in (0, 1, 2)]
+    rows = array(TYPECODE, [1, 2, -1, 0, 2, -1, 0, 1, -1])
+    for k in range(2, n + 1):
+        tripled = array(TYPECODE, map((3).__mul__, rows))
+        new = array(TYPECODE, bytes(3 * len(rows) * rows.itemsize))
+        for p in (0, 1, 2):
+            shifted = array(TYPECODE, map(p.__add__, tripled)) if p else tripled
+            for j in (0, 1, 2):
+                new[3 * p + j :: 9] = shifted[j::3]
+        rows = new
         all_on_one = (3 ** (k - 1) - 1) // 2
         for r, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             c = 3 * r * all_on_one
-            adj[c + p].append(c + q)
-            adj[c + q].append(c + p)
-    return Graph.from_adjacency(adj)
+            rows[3 * (c + p) + 2] = c + q
+            rows[3 * (c + q) + 2] = c + p
+    size = 3**n
+    corners = (0, (size - 1) // 2, size - 1)
+    degrees = array(TYPECODE, [3]) * size
+    for c in reversed(corners):
+        del rows[3 * c + 2]
+        degrees[c] = 2
+    return Graph._from_csr(array(TYPECODE, accumulate(degrees, initial=0)), rows)
 
 
 def from_edge_list(text: str) -> Graph:

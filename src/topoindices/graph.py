@@ -2,26 +2,61 @@
 
 Vertices are dense 0-based integers with no labels; generators document
 their own numbering. Adjacency has set semantics (no self-loops, no
-parallel edges). Graphs are immutable after construction, so every query
-is read-only and safe to call concurrently. The one derived value, the
-edge-class tables of :meth:`Graph.edge_classes`, is cached on first use;
-two threads racing to fill it only compute the same tables twice.
+parallel edges).
+
+The graph is stored in CSR (compressed sparse rows) form, two flat
+``array`` columns of signed 64-bit ints and nothing per vertex:
+
+* ``offsets``, ``vertex_count + 1`` entries: vertex ``v``'s neighbors are
+  ``targets[offsets[v]:offsets[v + 1]]``, so its degree is
+  ``offsets[v + 1] - offsets[v]``;
+* ``targets``, ``2 * edge_count`` entries: each edge appears once in each
+  endpoint's row.
+
+Rows are kept in the order their builder wrote them, and that order is not
+part of a graph's identity: ``==`` and ``hash`` compare each row as a set,
+so graphs built by different paths are equal when their edges are.
+Everything else is derived from the two arrays on demand: the
+``adjacency`` tuple of frozensets, the sorted edge list, the per-vertex
+reads, and the edge-class tables of :meth:`Graph.edge_classes`. The
+tables are the one derived value that is cached, on first use.
+
+Graphs are immutable after construction, so every query is read-only and
+safe to call concurrently; two threads racing to fill the cache only
+compute the same tables twice.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain, islice, pairwise, repeat
+from operator import add, mul, sub
 from types import MappingProxyType
 
 # (lo, hi) endpoint-label pair -> number of edges in that class
 ClassTable = Mapping[tuple[int, int], int]
 
+# Item type of both CSR columns: signed, so a builder may mark empty slots
+# with a negative pad, and wide enough for any vertex id or offset.
+TYPECODE = "q"
+
+
+def _flatten(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
+    """CSR columns of per-vertex neighbor rows, in one pass over ``rows``."""
+    offsets = array(TYPECODE, [0])
+    targets = array(TYPECODE)
+    for row in rows:
+        targets.extend(row)
+        offsets.append(len(targets))
+    return offsets, targets
+
 
 class Graph:
     """Immutable simple undirected graph over vertices ``0..vertex_count-1``."""
 
-    __slots__ = ("_adj", "_classes")
+    __slots__ = ("_offsets", "_targets", "_classes")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
@@ -36,53 +71,67 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._offsets, self._targets = _flatten(adj)
         self._classes: tuple[ClassTable, ClassTable] | None = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> Graph:
-        """Build directly from per-vertex neighbor collections, unchecked.
+        """Build directly from per-vertex neighbor rows, unchecked.
 
-        Serves generators whose construction already guarantees the
-        invariants, and lets malformed graphs (asymmetric adjacency,
-        self-loops) be constructed and then diagnosed with :meth:`validate`.
-        Other callers should use the edge-list constructor, which enforces
-        the invariants up front.
+        ``adjacency`` is read once, so a generator of rows will do. Serves
+        generators whose construction already guarantees the invariants,
+        and lets malformed graphs (asymmetric adjacency, self-loops, a
+        neighbor listed twice) be constructed and then diagnosed with
+        :meth:`validate`. Other callers should use the edge-list
+        constructor, which enforces the invariants up front.
         """
+        return cls._from_csr(*_flatten(adjacency))
+
+    @classmethod
+    def _from_csr(cls, offsets: array, targets: array) -> Graph:
+        """The graph with these CSR columns, taken over without a copy."""
         g = object.__new__(cls)
-        g._adj = tuple(frozenset(ns) for ns in adjacency)
+        g._offsets = offsets
+        g._targets = targets
         g._classes = None
         return g
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._offsets) - 1
 
     @property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        return self._adj
+        """Each vertex's neighbors as a frozenset, built on each access."""
+        return tuple(map(frozenset, self._rows()))
+
+    def _rows(self) -> Iterator[array]:
+        targets = self._targets
+        return (targets[a:b] for a, b in pairwise(self._offsets))
+
+    def _row(self, v: int) -> array:
+        self._check_vertex(v)
+        return self._targets[self._offsets[v] : self._offsets[v + 1]]
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(self._row(v))
 
     def degree(self, v: int) -> int:
         """Number of vertices adjacent to ``v``."""
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._offsets[v + 1] - self._offsets[v]
 
     def neighbor_degree_sum(self, v: int) -> int:
         """Sum of the degrees of all neighbors of ``v``."""
-        self._check_vertex(v)
-        adj = self._adj
-        return sum(len(adj[u]) for u in adj[v])
+        offsets = self._offsets
+        return sum(offsets[u + 1] - offsets[u] for u in self._row(v))
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge exactly once as ``(u, v)`` with ``u < v``, sorted."""
         return [
             (u, v)
-            for u in range(len(self._adj))
-            for v in sorted(self._adj[u])
+            for u, row in enumerate(self._rows())
+            for v in sorted(row)
             if u < v
         ]
 
@@ -91,47 +140,70 @@ class Graph:
 
         Each edge is classified by the labels of its two endpoints, keyed
         ``(lo, hi)`` with ``lo <= hi``; empty classes are absent. The tables
-        are computed once, in one pass over the adjacency, and returned as
-        read-only views of the cache.
+        are computed once and returned as read-only views of the cache.
+
+        Every step but the last is a C-level pass over the arrays. Each
+        vertex's neighbor sum adds up the next ``degree`` items of one
+        shared stream of target degrees, which are its own row's. Its
+        ``(degree, neighbor_sum)`` label is one int code, ranked to a small
+        id, so the ``Counter`` counts small ints, one per target slot: each
+        edge is seen once in each orientation, and the tables halve the
+        counts at the end.
         """
         if self._classes is not None:
             return self._classes
-        adj = self._adj
-        degrees = [len(nbrs) for nbrs in adj]
-        degree_of = degrees.__getitem__
-        labels = [(d, sum(map(degree_of, nbrs))) for d, nbrs in zip(degrees, adj)]
-        # Count each edge u < v under its ordered label pair, then fold
-        # (a, b) and (b, a) together; distinct pairs are usually few.
-        pairs = Counter(
-            (labels[u], labels[v]) for u, nbrs in enumerate(adj) for v in nbrs if u < v
-        )
+        offsets, targets = self._offsets, self._targets
+        degrees = list(map(sub, islice(offsets, 1, None), offsets))
+        target_degrees = map(degrees.__getitem__, targets)
+        sums = array(TYPECODE, map(sum, map(islice, repeat(target_degrees), degrees)))
+        base = max(sums, default=0) + 1
+        codes = list(map(add, map(mul, degrees, repeat(base)), sums))
+        rank = {code: i for i, code in enumerate(dict.fromkeys(codes))}
+        ids = list(map(rank.__getitem__, codes))
+        width = len(rank)
+        source_ids = chain.from_iterable(map(repeat, map(width.__mul__, ids), degrees))
+        pairs = Counter(map(add, source_ids, map(ids.__getitem__, targets)))
+
+        labels = [divmod(code, base) for code in rank]
         by_degree: dict[tuple[int, int], int] = {}
         by_sum: dict[tuple[int, int], int] = {}
-        for ((du, su), (dv, sv)), count in pairs.items():
+        for pair, count in pairs.items():
+            source, target = divmod(pair, width)
+            (du, su), (dv, sv) = labels[source], labels[target]
             for table, a, b in ((by_degree, du, dv), (by_sum, su, sv)):
                 key = (a, b) if a <= b else (b, a)
                 table[key] = table.get(key, 0) + count
-        classes = (MappingProxyType(by_degree), MappingProxyType(by_sum))
+        classes = tuple(
+            MappingProxyType({key: count // 2 for key, count in table.items()})
+            for table in (by_degree, by_sum)
+        )
         self._classes = classes
         return classes
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return len(self._targets) // 2
 
     def validate(self) -> str | None:
         """Return ``None`` if valid and connected, else the first violation found.
 
-        Checks, in order: at least one vertex, neighbor ids in range, no
-        self-loops, symmetric adjacency, connectivity.
+        Checks, vertex by vertex and in row order: neighbor ids in range, no
+        self-loops, no neighbor listed twice; then symmetric adjacency, and
+        finally at least one vertex and connectivity.
         """
-        n = len(self._adj)
-        for v, nbrs in enumerate(self._adj):
-            for u in nbrs:
+        n = self.vertex_count
+        arcs: set[int] = set()
+        for v, row in enumerate(self._rows()):
+            for u in row:
                 if not (0 <= u < n):
                     return f"vertex {v} lists out-of-range neighbor {u}"
                 if u == v:
                     return f"self-loop at vertex {v}"
-                if v not in self._adj[u]:
+                if v * n + u in arcs:
+                    return f"vertex {v} lists neighbor {u} twice"
+                arcs.add(v * n + u)
+        for v, row in enumerate(self._rows()):
+            for u in row:
+                if u * n + v not in arcs:
                     return (
                         f"asymmetric adjacency: {u} is a neighbor of {v} "
                         f"but {v} is not a neighbor of {u}"
@@ -143,38 +215,48 @@ class Graph:
 
         Assumes every neighbor id is in range.
         """
-        adj = self._adj
-        n = len(adj)
+        offsets, targets = self._offsets, self._targets
+        n = self.vertex_count
         if n == 0:
             return "graph has no vertices"
-        seen = {0}
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = 1
         frontier = [0]
         while frontier:
             nxt = []
             for v in frontier:
-                for u in adj[v]:
-                    if u not in seen:
-                        seen.add(u)
+                for u in targets[offsets[v] : offsets[v + 1]]:
+                    if not seen[u]:
+                        seen[u] = 1
                         nxt.append(u)
+            reached += len(nxt)
             frontier = nxt
-        if len(seen) != n:
+        if reached != n:
             return (
-                f"graph is disconnected: {len(seen)} of {n} vertices "
+                f"graph is disconnected: {reached} of {n} vertices "
                 "reachable from vertex 0"
             )
         return None
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < len(self._adj)):
-            raise ValueError(f"vertex id {v} out of range [0, {len(self._adj)})")
+        if not (0 <= v < self.vertex_count):
+            raise ValueError(f"vertex id {v} out of range [0, {self.vertex_count})")
+
+    def _sorted_targets(self) -> array:
+        """``targets`` with each row sorted: the identity of the graph's edges."""
+        return array(TYPECODE, chain.from_iterable(map(sorted, self._rows())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return (
+            self._offsets == other._offsets
+            and self._sorted_targets() == other._sorted_targets()
+        )
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash((self._offsets.tobytes(), self._sorted_targets().tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(vertex_count={self.vertex_count}, edge_count={self.edge_count()})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
 from .graph import Graph
@@ -175,23 +176,26 @@ def verify_family(
                 f"{family} {kind.value} is only defined for n >= {floor}, "
                 f"requested range starts at {lo}"
             )
-        if record.max_n is not None and hi > record.max_n:
+        if hi > record.max_n:
             raise ValueError(
                 f"{family} generator size cap is n <= {record.max_n}, requested up to {hi}"
             )
         ranges[kind] = (lo, hi)
 
-    # Build each graph once and reuse it across kinds.
-    graphs: dict[int, Graph] = {}
-    entries = []
-    for kind in kinds:
-        lo, hi = ranges[kind]
-        for n in range(lo, hi + 1):
-            if n not in graphs:
-                graphs[n] = record.build(n)
-            entries.append(verify_entry(family, kind, n, graphs[n], tolerance, variant))
+    # Build each graph once, check every kind on it, and let it go, so at
+    # most one graph is held at a time.
+    entries: dict[IndexKind, list[VerificationEntry]] = {kind: [] for kind in kinds}
+    first = min((lo for lo, _ in ranges.values()), default=0)
+    last = max((hi for _, hi in ranges.values()), default=-1)
+    for n in range(first, last + 1):
+        wanted = [kind for kind in kinds if ranges[kind][0] <= n <= ranges[kind][1]]
+        if wanted:
+            graph = record.build(n)
+            for kind in wanted:
+                entries[kind].append(verify_entry(family, kind, n, graph, tolerance, variant))
+            del graph
 
-    return _report(tuple(entries))
+    return _report(tuple(chain.from_iterable(entries.values())))
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:

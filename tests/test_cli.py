@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from topoindices import Graph, IndexKind, Variant, double_wheel, from_edge_list
+from topoindices import DW_MAX_N, Graph, IndexKind, Variant, double_wheel, from_edge_list
 from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
 
@@ -152,6 +152,31 @@ class TestCompute:
         assert out == ""
         assert "0 < tol < 0.1" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("compute",),
+            ("compute", "--method", "both"),
+            ("partition", "--mode", "neighbor-sum"),
+            ("generate",),
+        ],
+    )
+    def test_dw_above_generator_cap_exits_2(self, capsys, command):
+        n = str(DW_MAX_N + 1)
+        code, out, err = run(capsys, *command, "--family", "dw", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: double_wheel size cap is n <= {DW_MAX_N}, got {n}\n"
+
+    def test_dw_closed_beyond_generator_cap(self, capsys):
+        # closed forms do not build the graph, so the size cap does not apply
+        code, out, _ = run(
+            capsys, "compute", "--family", "dw", "--n", str(10 * DW_MAX_N),
+            "--index", "ga", "--method", "closed",
+        )
+        assert code == 0
+        assert out.startswith("ga = ")
+
     def test_hanoi_closed_beyond_generator_cap(self, capsys):
         # closed forms do not build the graph, so the size cap is irrelevant
         code, out, _ = run(
@@ -247,6 +272,14 @@ class TestVerify:
         report = json.loads(out)
         assert report["summary"]["failed"] == 1
         assert report["entries"][0]["variant"] == "as_stated"
+
+    def test_dw_range_above_generator_cap_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--family", "dw", "--n-min", "3", "--n-max", str(DW_MAX_N + 1)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"dw generator size cap is n <= {DW_MAX_N}" in err
 
     def test_empty_range_exits_2(self, capsys):
         code, _, err = run(

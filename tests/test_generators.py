@@ -5,12 +5,14 @@ import pytest
 
 from conftest import reference_double_wheel, reference_hanoi
 from topoindices import (
+    DW_MAX_N,
     Graph,
     double_wheel,
     from_edge_list,
     hanoi,
     to_edge_list,
 )
+from topoindices.closed_forms import FAMILIES
 
 
 class TestDoubleWheel:
@@ -52,6 +54,17 @@ class TestDoubleWheel:
     @pytest.mark.parametrize("n", [*range(3, 61), 1000])
     def test_matches_edge_list_reference(self, n):
         assert double_wheel(n) == reference_double_wheel(n)
+
+    def test_rejects_n_above_cap_before_allocating(self):
+        assert FAMILIES["dw"].max_n == DW_MAX_N
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^double_wheel size cap is n <= {DW_MAX_N}, got"):
+                double_wheel(DW_MAX_N + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_ring_structure(self):
         # hub 0, rings 1..n and n+1..2n, consecutive around each cycle
@@ -116,6 +129,64 @@ class TestHanoi:
     def test_rejects_non_int_n(self, n):
         with pytest.raises(TypeError, match="n must be an int"):
             hanoi(n)
+
+
+def retained_and_peak_bytes(build, n):
+    """A built graph, the bytes it keeps, and the peak allocated building it."""
+    tracemalloc.start()
+    try:
+        g = build(n)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return g, retained, peak
+
+
+class TestMemoryLayout:
+    """Flat CSR arrays: a few 8-byte slots per vertex, not a set per vertex
+    (a tuple of frozensets kept about 320 B per vertex of hanoi(10))."""
+
+    @pytest.fixture(scope="class")
+    def hanoi10(self):
+        return retained_and_peak_bytes(hanoi, 10)
+
+    def test_retained_bytes_per_vertex(self, hanoi10):
+        for g, retained, _ in (hanoi10, retained_and_peak_bytes(double_wheel, 20000)):
+            assert retained / g.vertex_count < 64
+
+    def test_hanoi_build_peak(self, hanoi10):
+        _, _, peak = hanoi10
+        assert peak < 8_000_000
+
+
+class TestIdentityIgnoresConstructionPath:
+    """Equal edges make equal graphs with equal hashes, however each graph's
+    rows were ordered by the path that built it."""
+
+    @pytest.mark.parametrize(
+        "build, reference, n",
+        [(hanoi, reference_hanoi, n) for n in (1, 2, 3, 5)]
+        + [(double_wheel, reference_double_wheel, n) for n in (3, 4, 9)],
+    )
+    def test_paths_agree(self, build, reference, n):
+        g = build(n)
+        reversed_rows = Graph.from_adjacency(
+            sorted(g.neighbors(v), reverse=True) for v in range(g.vertex_count)
+        )
+        paths = [reference(n), reversed_rows, from_edge_list(to_edge_list(g))]
+        # the paths really do order some rows differently
+        assert len({g._targets.tobytes(), *(p._targets.tobytes() for p in paths)}) > 1
+        for other in paths:
+            assert other == g
+            assert hash(other) == hash(g)
+
+    def test_different_edges_differ(self):
+        # same vertex count and degrees, so only the rows' contents tell them apart
+        a = Graph(4, [(0, 1), (2, 3)])
+        b = Graph(4, [(0, 2), (1, 3)])
+        assert [a.degree(v) for v in range(4)] == [b.degree(v) for v in range(4)]
+        assert a != b
+        assert hanoi(2) != reference_double_wheel(4)
 
 
 class TestEdgeListRoundTrip:

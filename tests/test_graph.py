@@ -24,6 +24,18 @@ class TestConstruction:
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
 
+    def test_from_adjacency_reads_a_one_shot_generator(self):
+        rows = ([u for u in range(3) if u != v] for v in range(3))
+        g = Graph.from_adjacency(rows)
+        assert g == triangle()
+        assert g.validate() is None
+
+    def test_adjacency_is_built_from_the_rows(self):
+        g = Graph.from_adjacency([[2, 1], [0], [0]])
+        assert g.adjacency == (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+        assert g.neighbors(0) == frozenset({1, 2})
+        assert g.edges() == [(0, 1), (0, 2)]
+
     def test_equality_ignores_edge_order(self):
         a = Graph(3, [(0, 1), (1, 2)])
         b = Graph(3, [(1, 2), (1, 0)])
@@ -125,6 +137,19 @@ class TestValidate:
     def test_out_of_range_neighbor(self):
         g = Graph.from_adjacency([{5}])
         assert "out-of-range" in g.validate()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1], [0, 5]], "vertex 1 lists out-of-range neighbor 5"),
+            ([[1], [0, -2]], "vertex 1 lists out-of-range neighbor -2"),
+            ([[1], [1, 0]], "self-loop at vertex 1"),
+            ([[1, 2], [0], []], "asymmetric adjacency: 2 is a neighbor of 0 but 0 is not a neighbor of 2"),
+            ([[1, 1], [0]], "vertex 0 lists neighbor 1 twice"),
+        ],
+    )
+    def test_from_adjacency_violations_named(self, rows, message):
+        assert Graph.from_adjacency(rows).validate() == message
 
     def test_disconnected(self):
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

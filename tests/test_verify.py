@@ -5,15 +5,18 @@ import re
 import pytest
 
 from topoindices import (
+    Graph,
     IndexKind,
     Variant,
     brute_force_value,
     combine_reports,
+    double_wheel,
     errata_report,
     relative_error,
     verify_all,
     verify_family,
 )
+from topoindices import closed_forms
 from topoindices.closed_forms import FAMILIES
 
 
@@ -63,6 +66,30 @@ class TestVerifyFamily:
     def test_range_beyond_generator_cap_rejected(self):
         with pytest.raises(ValueError, match="cap"):
             verify_family("hanoi", kinds=(IndexKind.ABC,), n_range=(2, 20))
+
+    def test_dw_range_beyond_generator_cap_rejected(self):
+        cap = FAMILIES["dw"].max_n
+        with pytest.raises(ValueError, match=f"dw generator size cap is n <= {cap}"):
+            verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, cap + 1))
+
+    def test_holds_one_graph_at_a_time(self, monkeypatch):
+        held: list[int] = []
+
+        class Counted(Graph):
+            __slots__ = ()
+
+            def __del__(self):
+                held.pop()
+
+        def build(n):
+            assert held == [], f"dw({n}) built while dw{held} is still held"
+            held.append(n)
+            return Counted.from_adjacency(double_wheel(n).adjacency)
+
+        monkeypatch.setattr(closed_forms, "double_wheel", build)
+        report = verify_family("dw", kinds=(IndexKind.RANDIC, IndexKind.GA), n_range=(3, 40))
+        assert report.summary.total == 2 * 38
+        assert held == []
 
     def test_bad_tolerance_rejected(self):
         # 0.9 would pass the as-stated abc4, whose error is at least 0.718
