@@ -22,7 +22,8 @@ peg ``p``.
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
+from collections.abc import Iterator
+from itertools import accumulate, chain, islice
 
 from .graph import TYPECODE, Graph
 
@@ -36,7 +37,8 @@ from .graph import TYPECODE, Graph
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 214 MB resident; `generate`, which also holds the edge-list text, at 870 MB.
+# 214 MB resident; `generate`, which also holds the edge-list text, at
+# 330 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 504 MB.
 DW_MAX_N = 10**6
 
 
@@ -124,27 +126,49 @@ def hanoi(n: int) -> Graph:
     return Graph._from_csr(array(TYPECODE, accumulate(degrees, initial=0)), rows)
 
 
+# Characters of edge-list text split into lines at a time, so that no list
+# of every line is held: about 5000 lines, a few hundred kB of str objects.
+_READ_CHUNK = 1 << 16
+
+
+def _line_chunks(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()`` in consecutive pieces, one chunk of text at a time.
+
+    Each chunk but the last ends just after a ``"\\n"``, which always ends a
+    line (``"\\r\\n"`` stays whole), so the pieces join to the same lines.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _READ_CHUNK) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
 def from_edge_list(text: str) -> Graph:
     """Parse edge-list text into a validated, connected :class:`Graph`.
 
     Format: one edge per line as two whitespace-separated 0-based vertex
     ids; lines starting with ``#`` and blank lines are ignored; the vertex
-    count is the largest id plus one.
+    count is the largest id plus one. Lines break as in ``str.splitlines``.
 
-    Each line is checked as it is read, and the first bad line raises
-    ``ValueError`` naming it: the field count, integer ids, non-negative
-    ids, no self-loop, no duplicate edge (in either orientation), and an id
-    no larger than the number of input lines. A connected graph on ``V``
-    vertices needs at least ``V - 1`` edges, so a larger id means a
-    disconnected graph; it is rejected before any vertex is allocated.
-    Each edge is then linked straight into both endpoints' neighbor sets,
-    so range, self-loops and symmetry hold by construction. After the last
-    line only non-emptiness and connectivity are checked.
+    Each line is checked as it is read: the field count, integer ids,
+    non-negative ids, no self-loop, and an id no larger than the number of
+    input lines. A connected graph on ``V`` vertices needs at least
+    ``V - 1`` edges, so a larger id means a disconnected graph; it is
+    rejected before any vertex is allocated. Each edge is appended to both
+    endpoints' rows, one ``array`` of 8-byte ids per vertex, so range,
+    self-loops and symmetry hold by construction. The text is split into
+    lines a chunk at a time, so no list of all its lines is built.
+
+    Duplicate edges (in either orientation) are found after the last line,
+    as rows longer than their set of ids. Only then, or when a line fails
+    a check, are the lines read again to name the first duplicate, so the
+    first bad line raises ``ValueError`` naming it, whatever its fault.
+    Last come non-emptiness and connectivity.
     """
-    lines = text.splitlines()
-    line_count = len(lines)
-    adj: list[set[int]] = []
-    for lineno, raw in enumerate(lines, start=1):
+    line_count = sum(map(len, _line_chunks(text)))
+    adj: list[array] = []
+    for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         try:
             a, b = raw.split()
             u, v = int(a), int(b)
@@ -154,27 +178,26 @@ def from_edge_list(text: str) -> Graph:
             if not parts or parts[0].startswith("#"):
                 continue
             what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
-            raise ValueError(f"line {lineno}: {what}, got {raw.strip()!r}") from None
+            raise _line_error(text, lineno, f"{what}, got {raw.strip()!r}") from None
         if u < 0 or v < 0:
-            raise ValueError(
-                f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
-            )
+            raise _line_error(text, lineno, f"vertex ids must be non-negative, got {raw.strip()!r}")
         if u == v:
-            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+            raise _line_error(text, lineno, f"self-loop at vertex {u}")
         hi = u if u > v else v
         if hi >= len(adj):
             if hi > line_count:
-                raise ValueError(
-                    f"line {lineno}: vertex id {hi} is larger than the number of input "
-                    f"lines ({line_count}), so the graph is disconnected: a connected "
-                    f"graph on {hi + 1} vertices needs at least {hi} edges"
+                raise _line_error(
+                    text,
+                    lineno,
+                    f"vertex id {hi} is larger than the number of input lines ({line_count}), "
+                    f"so the graph is disconnected: a connected graph on {hi + 1} vertices "
+                    f"needs at least {hi} edges",
                 )
-            adj.extend([set() for _ in range(hi + 1 - len(adj))])
-        nbrs = adj[u]
-        if v in nbrs:
-            raise ValueError(f"line {lineno}: duplicate edge {(min(u, v), hi)}")
-        nbrs.add(v)
-        adj[v].add(u)
+            adj.extend([array(TYPECODE) for _ in range(hi + 1 - len(adj))])
+        adj[u].append(v)
+        adj[v].append(u)
+    if sum(map(len, map(set, adj))) != sum(map(len, adj)):
+        raise ValueError(_first_duplicate(text, line_count))
     g = Graph.from_adjacency(adj)
     problem = g._connectivity_problem()
     if problem is not None:
@@ -182,6 +205,53 @@ def from_edge_list(text: str) -> Graph:
     return g
 
 
+def _first_duplicate(text: str, stop: int) -> str | None:
+    """The error for the first duplicate edge in the first ``stop`` lines
+    of ``text``, or ``None``.
+
+    Each of those lines must have passed the per-line checks.
+    """
+    seen: set[tuple[int, int]] = set()
+    lines = islice(chain.from_iterable(_line_chunks(text)), stop)
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        u, v = map(int, parts)
+        edge = (u, v) if u < v else (v, u)
+        if edge in seen:
+            return f"line {lineno}: duplicate edge {edge}"
+        seen.add(edge)
+    return None
+
+
+def _line_error(text: str, lineno: int, problem: str) -> ValueError:
+    """The error for a fault found on line ``lineno``, unless a duplicate
+    edge on an earlier line comes first."""
+    return ValueError(_first_duplicate(text, lineno - 1) or f"line {lineno}: {problem}")
+
+
+# Vertices whose lines are formatted and joined at a time, so that no
+# whole-graph list of pairs or lines is held.
+_WRITE_BATCH = 4096
+
+
 def to_edge_list(g: Graph) -> str:
-    """Serialize to edge-list text; inverse of :func:`from_edge_list`."""
-    return "".join(f"{u} {v}\n" for u, v in g.edges())
+    """Serialize to edge-list text; inverse of :func:`from_edge_list`.
+
+    One ``u v`` line per edge with ``u < v``, sorted, as :meth:`Graph.edges`
+    lists them. Each row is sorted whole, however long.
+    """
+    offsets, targets = g._offsets, g._targets
+    n = g.vertex_count
+    return "".join(
+        "".join(
+            [
+                f"{u} {v}\n"
+                for u in range(start, min(start + _WRITE_BATCH, n))
+                for v in sorted(targets[offsets[u] : offsets[u + 1]])
+                if u < v
+            ]
+        )
+        for start in range(0, n, _WRITE_BATCH)
+    )

@@ -15,6 +15,17 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 50) -> Graph:
     return Graph(n, edges)
 
 
+def shuffled_edge_list(text: str, seed: int) -> str:
+    """The same edges, lines in a seeded random order, each edge in a
+    random orientation."""
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    rng.shuffle(lines)
+    return "".join(
+        f"{v} {u}\n" if rng.random() < 0.5 else f"{u} {v}\n" for u, v in map(str.split, lines)
+    )
+
+
 def reference_double_wheel(n: int) -> Graph:
     """Double wheel from its edge list: both rings, then the hub's spokes.
 
@@ -61,6 +72,53 @@ def reference_hanoi(n: int) -> Graph:
                 if state < other:
                     edges.append((state, other))
     return Graph(size, edges)
+
+
+def reference_from_edge_list(text: str) -> Graph:
+    """Edge-list parser with one neighbor set per vertex, line by line.
+
+    Same format, checks, error messages and check order as
+    :func:`topoindices.from_edge_list`: each line's faults are found as it
+    is read, a duplicate by a lookup in the earlier endpoint's set.
+    """
+    lines = text.splitlines()
+    line_count = len(lines)
+    adj: list[set[int]] = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            a, b = raw.split()
+            u, v = int(a), int(b)
+        except ValueError:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
+            raise ValueError(f"line {lineno}: {what}, got {raw.strip()!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(
+                f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
+            )
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        hi = u if u > v else v
+        if hi >= len(adj):
+            if hi > line_count:
+                raise ValueError(
+                    f"line {lineno}: vertex id {hi} is larger than the number of input "
+                    f"lines ({line_count}), so the graph is disconnected: a connected "
+                    f"graph on {hi + 1} vertices needs at least {hi} edges"
+                )
+            adj.extend([set() for _ in range(hi + 1 - len(adj))])
+        nbrs = adj[u]
+        if v in nbrs:
+            raise ValueError(f"line {lineno}: duplicate edge {(min(u, v), hi)}")
+        nbrs.add(v)
+        adj[v].add(u)
+    g = Graph.from_adjacency(adj)
+    problem = g.validate()
+    if problem is not None:
+        raise ValueError(problem)
+    return g
 
 
 def reference_index(g: Graph, kind: IndexKind) -> float:

@@ -1,9 +1,17 @@
+import hashlib
 import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_double_wheel, reference_hanoi
+from conftest import (
+    reference_double_wheel,
+    reference_from_edge_list,
+    reference_hanoi,
+    shuffled_edge_list,
+)
 from topoindices import (
     DW_MAX_N,
     Graph,
@@ -12,6 +20,7 @@ from topoindices import (
     hanoi,
     to_edge_list,
 )
+from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
 
 
@@ -131,11 +140,11 @@ class TestHanoi:
             hanoi(n)
 
 
-def retained_and_peak_bytes(build, n):
-    """A built graph, the bytes it keeps, and the peak allocated building it."""
+def retained_and_peak_bytes(build, arg):
+    """A built result, the bytes it keeps, and the peak allocated building it."""
     tracemalloc.start()
     try:
-        g = build(n)
+        g = build(arg)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -157,6 +166,21 @@ class TestMemoryLayout:
     def test_hanoi_build_peak(self, hanoi10):
         _, _, peak = hanoi10
         assert peak < 8_000_000
+
+
+class TestEdgeListMemory:
+    """Neither direction of the edge-list path holds a Python object per
+    vertex or per edge: parsing dw(5000) peaked at 5.8 MB and writing
+    dw(20000) at 14.1 MB when they held per-vertex sets and whole-graph
+    lists of pairs and lines."""
+
+    def test_parse_peak(self):
+        _, _, peak = retained_and_peak_bytes(from_edge_list, to_edge_list(double_wheel(5000)))
+        assert peak <= 0.7 * 5_784_615
+
+    def test_write_peak(self):
+        _, _, peak = retained_and_peak_bytes(to_edge_list, double_wheel(20000))
+        assert peak <= 6_000_000
 
 
 class TestIdentityIgnoresConstructionPath:
@@ -196,6 +220,113 @@ class TestEdgeListRoundTrip:
 
     def test_serialized_form(self):
         assert to_edge_list(Graph(3, [(0, 1), (1, 2), (0, 2)])) == "0 1\n0 2\n1 2\n"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestEdgeListBytes:
+    """The edge-list text and the reports read from it, byte for byte as
+    before the edge-list path stopped building per-vertex sets."""
+
+    @pytest.fixture(scope="class")
+    def shuffled(self):
+        # the hub's row, 40000 ids in shuffled order, is longer than a write batch
+        return shuffled_edge_list(to_edge_list(double_wheel(20000)), seed=7)
+
+    @pytest.mark.parametrize(
+        "family, n, digest",
+        [
+            ("dw", 20000, "bbfbafb87a2af10859a1ac74e770c7f5c6c23cadf57ce33ba6518ca1860a685f"),
+            ("hanoi", 8, "39282c30ef2060a4f89a21a03c43248d9cfd2195de9faed0213c1c63054be583"),
+        ],
+    )
+    def test_generate_output(self, capsys, family, n, digest):
+        assert main(["generate", "--family", family, "--n", str(n)]) == 0
+        assert sha256(capsys.readouterr().out) == digest
+
+    def test_shuffled_rows_written_sorted(self, shuffled):
+        assert to_edge_list(from_edge_list(shuffled)) == to_edge_list(double_wheel(20000))
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["compute", "--format", "json"],
+                "62952f684ed5ef2af39d779c091cbef2c8dac3412c42f59a5012965a2ac2457a",
+            ),
+            (
+                ["partition", "--mode", "neighbor-sum", "--format", "json"],
+                "caf0423a6538432270a2ef107890df29a23f78bc142cd3be83d2fd4389c26b53",
+            ),
+        ],
+    )
+    def test_reports_from_shuffled_file(self, tmp_path, capsys, shuffled, argv, digest):
+        path = tmp_path / "dw-shuffled.txt"
+        path.write_text(shuffled, encoding="utf-8")
+        assert main([*argv, "--edges", str(path)]) == 0
+        assert sha256(capsys.readouterr().out) == digest
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\u2028"])
+    def test_line_breaks_of_splitlines(self, shuffled, newline):
+        # the text is split into lines a chunk at a time; a chunk boundary
+        # must never change where a line ends or how lines are counted
+        text = shuffled.replace("\n", newline)
+        assert from_edge_list(text) == from_edge_list(shuffled)
+        assert_same_outcome(text + "0 1" + newline + "5 5")
+
+    @pytest.mark.parametrize("last", ["1 0", "9 9", "0 x", "0 90000"])
+    def test_late_fault_after_early_duplicate(self, shuffled, last):
+        # a duplicate on line 2 outranks a fault many chunks later
+        first = shuffled.split("\n", 1)[0]
+        u, v = first.split()
+        assert_same_outcome(f"{first}\n{v} {u}\n{shuffled}{last}\n")
+        assert_same_outcome(f"{shuffled}{last}\n")
+
+
+def assert_same_outcome(text):
+    """``from_edge_list`` returns the set-based reference's graph, or raises
+    its exact error."""
+    try:
+        expected = reference_from_edge_list(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            from_edge_list(text)
+        assert str(info.value) == str(error)
+    else:
+        assert from_edge_list(text) == expected
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text of a small connected graph, often with faults added."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    lines = [f"{u} {v}" if draw(st.booleans()) else f"{v} {u}" for u, v in edges]
+    draw(st.randoms()).shuffle(lines)
+    ids = st.integers(0, n - 1).map(str)
+    faults = st.one_of(
+        st.sampled_from(lines).map(lambda line: " ".join(reversed(line.split()))),
+        st.sampled_from(lines),
+        ids.map(lambda u: f"{u} {u}"),
+        st.tuples(ids, st.integers(-3, -1).map(str)).map(" ".join),
+        st.tuples(ids, st.sampled_from(["x", "1.5", "0x1", ""])).map(" ".join),
+        st.tuples(ids, ids, ids).map(" ".join),
+        st.tuples(ids, st.integers(n, 4 * n).map(str)).map(" ".join),
+        st.sampled_from(["# comment", "#0 1", "", "   ", "\t"]),
+    )
+    for fault in draw(st.lists(faults, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_parser_agrees_with_set_based_reference(text):
+    assert_same_outcome(text)
 
 
 class TestFromEdgeList:
@@ -253,6 +384,11 @@ class TestFromEdgeList:
             ),
             ("", "graph has no vertices"),
             ("# only a comment\n\n", "graph has no vertices"),
+            # with faults on two lines, the earlier line's fault wins
+            ("0 1\n1 0\n2 2\n", "line 2: duplicate edge (0, 1)"),
+            ("0 1\n1 1\n1 0\n", "line 2: self-loop at vertex 1"),
+            ("0 1\n1 0\n0 x\n", "line 2: duplicate edge (0, 1)"),
+            ("0 1\n0 1\n5 0\n", "line 2: duplicate edge (0, 1)"),
         ],
     )
     def test_error_messages(self, text, message):
@@ -269,7 +405,8 @@ class TestFromEdgeList:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one set per vertex id up to 100000 would take about 20 MB
+        # rows are allocated up to the largest id read so far, so an empty
+        # array per vertex id up to 100000 would take about 9 MB
         assert peak < 1_000_000
 
     def test_largest_id_may_equal_line_count(self):
