@@ -21,7 +21,7 @@ import functools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import DW_MAX_N, HANOI_MAX_N, _require_int, double_wheel, hanoi
 from .graph import Graph
@@ -48,8 +48,7 @@ class Variant(enum.Enum):
         return _lookup("variant", name, {variant.value: variant for variant in cls})
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
+class ClosedFormResult(NamedTuple):
     family: str
     kind: IndexKind
     n: int
@@ -148,8 +147,7 @@ def hanoi_closed_form(
     return ClosedFormResult(HANOI, kind, n, variant, value, p > _EXACT_FLOAT_LIMIT)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One graph family: its name, generator, closed forms and size limits.
 
     ``min_n(kind)`` is the smallest ``n`` at which the closed form for

@@ -21,6 +21,8 @@ peg ``p``.
 
 from __future__ import annotations
 
+import re
+import sys
 from array import array
 from collections.abc import Iterator
 from itertools import accumulate, chain, islice
@@ -31,9 +33,9 @@ from .graph import TYPECODE, Graph
 # resident (peaks measured with getrusage on a 64-bit Linux build of
 # CPython 3.11).
 #
-# 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) and
-# computing all six indices peaks at 116 MB resident; each further disc
-# triples that.
+# 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
+# 76 MB resident, and computing all six indices on it at 100 MB; each
+# further disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
@@ -91,27 +93,35 @@ def hanoi(n: int) -> Graph:
     state ``c = r * (3**(k-1) - 1) // 2``; those three moves are the bridge
     edges ``{3c+p, 3c+q}`` (Hinz et al., 2013).
 
-    Every row is 3 slots wide while the levels are built. The three
-    degree-2 corners hold a negative pad in slot 2, and a level's copies
-    stay negative, so each bridge lands in the pad of a corner of its
-    copy. Copying is one slice assignment per peg and slot:
-    ``new[3p+j::9]`` is slot ``j`` of every row, tripled and shifted by
-    ``p``. The last three pads are deleted at the end.
+    Every row is 3 slots wide while the levels are built; the three
+    degree-2 corners hold a pad in slot 2. A level first copies each row
+    of the previous one three times, one strided slice assignment per peg
+    and slot: ``new[3p+j::9]`` is slot ``j`` of every row of copy ``p``.
+    It then maps every id ``u`` of copy ``p`` to ``3u+p`` with big-int lane
+    arithmetic: each block of ``_LANE_BLOCK`` bytes, read as one integer in
+    the native byte order of the array, becomes ``block * 3 + pegs``, where
+    ``pegs`` holds ``p`` in every 8-byte lane of copy ``p`` (a 9-lane
+    period). Pads are 0, since a negative lane would borrow from the next,
+    and every lane holds an id below ``3**(k-1)``, so ``3u+p`` stays below
+    ``3**k`` and no lane ever carries into the next. Each padded corner
+    slot of a copy is either where a bridge lands or one of the three
+    slots deleted at the end, so a pad's value is never read.
     """
     _require_int(n)
     if n < 1:
         raise ValueError(f"hanoi requires n >= 1, got {n}")
     if n > HANOI_MAX_N:
         raise ValueError(f"hanoi size cap is n <= {HANOI_MAX_N}, got {n}")
-    rows = array(TYPECODE, [1, 2, -1, 0, 2, -1, 0, 1, -1])
+    rows = array(TYPECODE, [1, 2, 0, 0, 2, 0, 0, 1, 0])
     for k in range(2, n + 1):
-        tripled = array(TYPECODE, map((3).__mul__, rows))
-        new = array(TYPECODE, bytes(3 * len(rows) * rows.itemsize))
-        for p in (0, 1, 2):
-            shifted = array(TYPECODE, map(p.__add__, tripled)) if p else tripled
-            for j in (0, 1, 2):
-                new[3 * p + j :: 9] = shifted[j::3]
+        new = array(TYPECODE, [0]) * (3 * len(rows))
+        for j in (0, 1, 2):
+            column = rows[j::3]
+            for p in (0, 1, 2):
+                new[3 * p + j :: 9] = column
+        del column
         rows = new
+        _triple_and_shift(rows)
         all_on_one = (3 ** (k - 1) - 1) // 2
         for r, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             c = 3 * r * all_on_one
@@ -126,20 +136,54 @@ def hanoi(n: int) -> Graph:
     return Graph._from_csr(array(TYPECODE, accumulate(degrees, initial=0)), rows)
 
 
+# `pegs` over 2048 periods of 9 lanes, each lane holding the peg of its copy.
+# `_triple_and_shift` rewrites a level `_LANE_BLOCK` bytes at a time, so that
+# every block but a level's last shares one `pegs` integer.
+_PEGS = (array(TYPECODE, [0, 0, 0, 1, 1, 1, 2, 2, 2]) * 2048).tobytes()
+_LANE_BLOCK = len(_PEGS)
+_PEGS_INT = int.from_bytes(_PEGS, sys.byteorder)
+
+
+def _triple_and_shift(rows: array) -> None:
+    """Map lane ``i`` of ``rows`` from ``u`` to ``3u + (i % 9) // 3``, in place.
+
+    Every lane must hold an id in ``[0, 3**HANOI_MAX_N)``, far below
+    ``2**63 // 3``, so ``3u + 2`` fits its lane and no lane carries.
+    """
+    order = sys.byteorder
+    with memoryview(rows).cast("B") as raw:
+        size = len(raw)
+        for start in range(0, size, _LANE_BLOCK):
+            end = min(start + _LANE_BLOCK, size)
+            if end - start == _LANE_BLOCK:
+                pegs = _PEGS_INT
+            else:
+                pegs = int.from_bytes(_PEGS[: end - start], order)
+            block = int.from_bytes(raw[start:end], order) * 3 + pegs
+            raw[start:end] = block.to_bytes(end - start, order)
+
+
 # Characters of edge-list text split into lines at a time, so that no list
 # of every line is held: about 5000 lines, a few hundred kB of str objects.
 _READ_CHUNK = 1 << 16
+
+# A line boundary of `str.splitlines`, with "\r\n" matched whole; compiled on
+# first use, so a process that reads no edge list never compiles it.
+_LINE_BREAK = "\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 
 
 def _line_chunks(text: str) -> Iterator[list[str]]:
     """``text.splitlines()`` in consecutive pieces, one chunk of text at a time.
 
-    Each chunk but the last ends just after a ``"\\n"``, which always ends a
-    line (``"\\r\\n"`` stays whole), so the pieces join to the same lines.
+    Each chunk but the last ends just after the first line boundary at
+    least ``_READ_CHUNK`` characters past its start, whatever the kind of
+    boundary; ``"\\r\\n"`` stays whole, so the pieces join to the same lines.
     """
+    line_break = re.compile(_LINE_BREAK)
     start = 0
     while start < len(text):
-        end = text.find("\n", start + _READ_CHUNK) + 1 or len(text)
+        cut = line_break.search(text, start + _READ_CHUNK)
+        end = cut.end() if cut else len(text)
         yield text[start:end].splitlines()
         start = end
 

@@ -32,14 +32,15 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, islice, pairwise, repeat
-from operator import add, mul, sub
+from operator import add, sub
 from types import MappingProxyType
 
 # (lo, hi) endpoint-label pair -> number of edges in that class
 ClassTable = Mapping[tuple[int, int], int]
 
-# Item type of both CSR columns: signed, so a builder may mark empty slots
-# with a negative pad, and wide enough for any vertex id or offset.
+# Item type of both CSR columns, wide enough for any vertex id or offset. No
+# builder writes a negative value; the type stays signed so that
+# `Graph.from_adjacency` can hold a negative id and `Graph.validate` name it.
 TYPECODE = "q"
 
 
@@ -145,26 +146,27 @@ class Graph:
         Every step but the last is a C-level pass over the arrays. Each
         vertex's neighbor sum adds up the next ``degree`` items of one
         shared stream of target degrees, which are its own row's. Its
-        ``(degree, neighbor_sum)`` label is one int code, ranked to a small
-        id, so the ``Counter`` counts small ints, one per target slot: each
-        edge is seen once in each orientation, and the tables halve the
-        counts at the end.
+        ``(degree, neighbor_sum)`` label is ranked to a small id as it is
+        streamed, so the ``Counter`` counts small ints, one per target slot:
+        each edge is seen once in each orientation, and the tables halve the
+        counts at the end. The degrees and the ids are the only
+        vertex-length lists; no list of sums or labels is held.
         """
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
         degrees = list(map(sub, islice(offsets, 1, None), offsets))
         target_degrees = map(degrees.__getitem__, targets)
-        sums = array(TYPECODE, map(sum, map(islice, repeat(target_degrees), degrees)))
-        base = max(sums, default=0) + 1
-        codes = list(map(add, map(mul, degrees, repeat(base)), sums))
-        rank = {code: i for i, code in enumerate(dict.fromkeys(codes))}
-        ids = list(map(rank.__getitem__, codes))
+        sums = map(sum, map(islice, repeat(target_degrees), degrees))
+        # map draws each label, then len(rank), before its lookup, so a new
+        # label gets the next id
+        rank: dict[tuple[int, int], int] = {}
+        ids = list(map(rank.setdefault, zip(degrees, sums), map(len, repeat(rank))))
         width = len(rank)
         source_ids = chain.from_iterable(map(repeat, map(width.__mul__, ids), degrees))
         pairs = Counter(map(add, source_ids, map(ids.__getitem__, targets)))
 
-        labels = [divmod(code, base) for code in rank]
+        labels = list(rank)
         by_degree: dict[tuple[int, int], int] = {}
         by_sum: dict[tuple[int, int], int] = {}
         for pair, count in pairs.items():

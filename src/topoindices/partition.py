@@ -9,8 +9,7 @@ per graph; each partition holds its own copy, free to mutate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .graph import Graph
 
@@ -30,8 +29,7 @@ def _lookup(what: str, name: str, table: dict[str, _T]) -> _T:
     return table[key]
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """Counts of edges per unordered label pair, under one labeling mode."""
 
     mode: str

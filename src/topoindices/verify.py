@@ -11,8 +11,8 @@ serialize deterministically so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
 from .graph import Graph
@@ -30,8 +30,7 @@ MISMATCH_ERROR = 0.1
 _REL_ERROR_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class VerificationEntry:
+class VerificationEntry(NamedTuple):
     family: str
     kind: IndexKind
     n: int
@@ -54,29 +53,27 @@ class VerificationEntry:
         }
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     total: int
     passed: int
     failed: int
     max_rel_error: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class Erratum:
+class Erratum(NamedTuple):
     location: str
     description: str
     evidence: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # a fresh evidence dict, so the caller may mutate the result
+        return {**self._asdict(), "evidence": dict(self.evidence)}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     entries: tuple[VerificationEntry, ...]
     summary: Summary
     errata: tuple[Erratum, ...]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -13,6 +14,10 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 50) -> Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph(n, edges)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def shuffled_edge_list(text: str, seed: int) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import sha256
 from topoindices import DW_MAX_N, Graph, IndexKind, Variant, double_wheel, from_edge_list
 from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
@@ -345,6 +346,31 @@ class TestErrata:
         entries = json.loads(out)
         assert len(entries) == 3
         assert entries[0]["evidence"]["n"] == 4
+
+
+class TestDefaultPathBytes:
+    """The default ``verify`` and ``errata`` reports, byte for byte as
+    before the result records became named tuples."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["verify"], "54378767fa5127db9fbf9b0e2f66c5ec97ffadf0c08434b1c856406498ae130d"),
+            (
+                ["verify", "--format", "csv"],
+                "7eb77566023841f9388317a7938da21671980c4f117c426997a965b706e044c0",
+            ),
+            (["errata"], "09eb976d70ebcb2c653595fced9fd6416b6d34145b4d1eb9087845690d19d143"),
+            (
+                ["errata", "--format", "json"],
+                "f5ef0aca2c38688e6ebb09eb97ebc79ca4ad98464526778a6fa7d237b59495a1",
+            ),
+        ],
+    )
+    def test_report_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert sha256(out) == digest
 
 
 class TestArgparseContract:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     reference_double_wheel,
     reference_from_edge_list,
     reference_hanoi,
+    sha256,
     shuffled_edge_list,
 )
 from topoindices import (
@@ -22,6 +24,8 @@ from topoindices import (
 )
 from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
+from topoindices.generators import _LANE_BLOCK
+from topoindices.graph import TYPECODE
 
 
 class TestDoubleWheel:
@@ -140,6 +144,29 @@ class TestHanoi:
             hanoi(n)
 
 
+class TestHanoiLanes:
+    """Each level is rewritten a block of ``_LANE_BLOCK`` bytes at a time."""
+
+    def test_ragged_multi_block_levels_match_reference(self):
+        n = 10
+        for k in (n - 1, n):
+            level_bytes = 3 * 3**k * array(TYPECODE).itemsize
+            # several blocks, the last one ragged
+            assert level_bytes > 2 * _LANE_BLOCK
+            assert level_bytes % _LANE_BLOCK != 0
+        assert hanoi(n) == reference_hanoi(n)
+
+    def test_row_order_pinned(self):
+        # the CSR columns of hanoi(11) byte for byte, rows in builder order
+        g = hanoi(11)
+        assert hashlib.sha256(g._offsets.tobytes()).hexdigest() == (
+            "7a54c07b8e30c13ac7aee0a817865b35d6e58c4e79857d048ff5b248b5c7419d"
+        )
+        assert hashlib.sha256(g._targets.tobytes()).hexdigest() == (
+            "279e1a566c16d6561644e64d835752b74fc12d7ebb5ae910914d4fefb8bde3b4"
+        )
+
+
 def retained_and_peak_bytes(build, arg):
     """A built result, the bytes it keeps, and the peak allocated building it."""
     tracemalloc.start()
@@ -167,6 +194,14 @@ class TestMemoryLayout:
         _, _, peak = hanoi10
         assert peak < 8_000_000
 
+    def test_edge_classes_peak(self):
+        # 1,975,128 B while lists of degrees, sums, codes and ids were held
+        # at once; only the degrees and the ids are held now
+        g = hanoi(10)
+        assert g._classes is None
+        _, _, peak = retained_and_peak_bytes(Graph.edge_classes, g)
+        assert peak <= 0.6 * 1_975_128
+
 
 class TestEdgeListMemory:
     """Neither direction of the edge-list path holds a Python object per
@@ -181,6 +216,14 @@ class TestEdgeListMemory:
     def test_write_peak(self):
         _, _, peak = retained_and_peak_bytes(to_edge_list, double_wheel(20000))
         assert peak <= 6_000_000
+
+    @pytest.mark.parametrize("newline", ["\r", "\u2028"])
+    def test_parse_peak_for_other_line_breaks(self, newline):
+        # chunks cut only after "\n" held every line of such a file at once
+        text = to_edge_list(double_wheel(5000))
+        _, _, peak_n = retained_and_peak_bytes(from_edge_list, text)
+        _, _, peak = retained_and_peak_bytes(from_edge_list, text.replace("\n", newline))
+        assert peak <= 1.05 * peak_n
 
 
 class TestIdentityIgnoresConstructionPath:
@@ -220,10 +263,6 @@ class TestEdgeListRoundTrip:
 
     def test_serialized_form(self):
         assert to_edge_list(Graph(3, [(0, 1), (1, 2), (0, 2)])) == "0 1\n0 2\n1 2\n"
-
-
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestEdgeListBytes:
