@@ -17,8 +17,9 @@ for kind in IndexKind:
 
 print()
 
-# Summing per edge and summing per partition class give the same number;
-# the partition route is how the closed forms are derived.
+# Summing per edge and summing per partition class agree bit for bit: both
+# add every class's count * term exactly and round once. The partition
+# route is how the closed forms are derived.
 g = double_wheel(7)
 print("double_wheel(7), edge sum vs partition sum:")
 for kind in IndexKind:

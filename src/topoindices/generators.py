@@ -64,18 +64,18 @@ def double_wheel(n: int) -> Graph:
     if n > DW_MAX_N:
         raise ValueError(f"double_wheel size cap is n <= {DW_MAX_N}, got {n}")
     ring = 2 * n
+    # one allocation; the hub slot of each ring row stays 0
+    targets = array(TYPECODE, [0]) * (4 * ring)
+    targets[:ring] = array(TYPECODE, range(1, ring + 1))
     # ring vertex v = 1..2n: previous v - 1, next v + 1, wrapped within its cycle
-    previous = array(TYPECODE, range(ring))
-    following = array(TYPECODE, range(2, ring + 2))
+    targets[ring + 1 :: 3] = array(TYPECODE, range(ring))
+    targets[ring + 2 :: 3] = array(TYPECODE, range(2, ring + 2))
     for first in (1, n + 1):
         last = first + n - 1
-        previous[first - 1] = last
-        following[last - 1] = first
-    rows = array(TYPECODE, bytes(3 * ring * previous.itemsize))  # hub slots stay 0
-    rows[1::3] = previous
-    rows[2::3] = following
+        targets[ring + 3 * first - 2] = last
+        targets[ring + 3 * last - 1] = first
     offsets = array(TYPECODE, chain((0,), range(ring, 4 * ring + 1, 3)))
-    return Graph._from_csr(offsets, array(TYPECODE, range(1, ring + 1)) + rows)
+    return Graph._from_csr(offsets, targets)
 
 
 def hanoi(n: int) -> Graph:

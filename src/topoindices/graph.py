@@ -16,10 +16,11 @@ The graph is stored in CSR (compressed sparse rows) form, two flat
 Rows are kept in the order their builder wrote them, and that order is not
 part of a graph's identity: ``==`` and ``hash`` compare each row as a set,
 so graphs built by different paths are equal when their edges are.
-Everything else is derived from the two arrays on demand: the
-``adjacency`` tuple of frozensets, the sorted edge list, the per-vertex
-reads, and the edge-class tables of :meth:`Graph.edge_classes`. The
-tables are the one derived value that is cached, on first use.
+Everything else is derived from the two arrays on demand: the sorted edge
+list, the per-vertex reads, and the edge-class tables of
+:meth:`Graph.edge_classes`, one per vertex labeling, keyed by the
+labeling's name (:data:`DEGREE` or :data:`NEIGHBOR_SUM`). The tables are
+the one derived value that is cached, on first use.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -34,6 +35,10 @@ from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, islice, pairwise, repeat
 from operator import add, sub
 from types import MappingProxyType
+
+# The two vertex labelings, and the keys of `Graph.edge_classes`
+DEGREE = "degree"
+NEIGHBOR_SUM = "neighbor_sum"
 
 # (lo, hi) endpoint-label pair -> number of edges in that class
 ClassTable = Mapping[tuple[int, int], int]
@@ -73,7 +78,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._offsets, self._targets = _flatten(adj)
-        self._classes: tuple[ClassTable, ClassTable] | None = None
+        self._classes: Mapping[str, ClassTable] | None = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> Graph:
@@ -100,11 +105,6 @@ class Graph:
     @property
     def vertex_count(self) -> int:
         return len(self._offsets) - 1
-
-    @property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Each vertex's neighbors as a frozenset, built on each access."""
-        return tuple(map(frozenset, self._rows()))
 
     def _rows(self) -> Iterator[array]:
         targets = self._targets
@@ -136,12 +136,15 @@ class Graph:
             if u < v
         ]
 
-    def edge_classes(self) -> tuple[ClassTable, ClassTable]:
-        """Edge counts per degree pair and per neighbor-degree-sum pair.
+    def edge_classes(self) -> Mapping[str, ClassTable]:
+        """Edge counts per endpoint-label pair, one table per labeling.
 
+        The result maps :data:`DEGREE` to the counts per degree pair and
+        :data:`NEIGHBOR_SUM` to the counts per neighbor-degree-sum pair.
         Each edge is classified by the labels of its two endpoints, keyed
         ``(lo, hi)`` with ``lo <= hi``; empty classes are absent. The tables
-        are computed once and returned as read-only views of the cache.
+        are computed once; the mapping and both tables are read-only views
+        of the cache.
 
         Every step but the last is a C-level pass over the arrays. Each
         vertex's neighbor sum adds up the next ``degree`` items of one
@@ -167,18 +170,17 @@ class Graph:
         pairs = Counter(map(add, source_ids, map(ids.__getitem__, targets)))
 
         labels = list(rank)
-        by_degree: dict[tuple[int, int], int] = {}
-        by_sum: dict[tuple[int, int], int] = {}
+        # a label is (degree, neighbor_sum), in the order of these tables
+        tables: dict[str, dict[tuple[int, int], int]] = {DEGREE: {}, NEIGHBOR_SUM: {}}
         for pair, count in pairs.items():
             source, target = divmod(pair, width)
-            (du, su), (dv, sv) = labels[source], labels[target]
-            for table, a, b in ((by_degree, du, dv), (by_sum, su, sv)):
+            for table, a, b in zip(tables.values(), labels[source], labels[target]):
                 key = (a, b) if a <= b else (b, a)
                 table[key] = table.get(key, 0) + count
-        classes = tuple(
-            MappingProxyType({key: count // 2 for key, count in table.items()})
-            for table in (by_degree, by_sum)
-        )
+        classes = MappingProxyType({
+            mode: MappingProxyType({key: count // 2 for key, count in table.items()})
+            for mode, table in tables.items()
+        })
         self._classes = classes
         return classes
 

@@ -9,25 +9,21 @@ Four indices weigh an edge by its endpoint degrees:
 
 The other two apply the same abc/ga weight forms to neighbor-degree sums
 instead of degrees: ``abc4`` reuses the abc form, ``ga5`` the ga form.
-Whole-graph values are sums over edges; ``math.fsum`` keeps them exactly
-rounded and independent of edge order.
+Whole-graph values are sums over edges, taken one class of equal terms
+at a time. Both evaluators use one rule: each class adds ``count * term``
+exactly, in integers, and the total is rounded to a float once. The value
+is therefore the correctly rounded sum of every edge's term, the same bits
+as ``math.fsum`` over the edges in any order, whichever evaluator computed
+it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from itertools import chain, repeat
 
-from .graph import Graph
-from .partition import (
-    DEGREE,
-    NEIGHBOR_SUM,
-    EdgePartition,
-    _lookup,
-    degree_partition,
-    neighbor_sum_partition,
-)
+from .graph import DEGREE, NEIGHBOR_SUM, ClassTable, Graph
+from .partition import EdgePartition, _lookup, _partition
 
 
 class IndexKind(enum.Enum):
@@ -69,36 +65,45 @@ def edge_term(kind: IndexKind, a: int, b: int) -> float:
     return 2.0 * math.sqrt(a * b) / (a + b)
 
 
-def compute_index(g: Graph, kind: IndexKind) -> float:
-    """Index value by brute force: one term per edge, grouped by class.
+def _class_sum(kind: IndexKind, classes: ClassTable) -> float:
+    """Correctly rounded sum of ``count * edge_term(kind, lo, hi)`` over the classes.
 
-    Every edge contributes its own copy of its class's term, and
-    ``math.fsum`` rounds the whole multiset once, so the value is
-    bit-identical to summing edge by edge in any order. Unlike
-    :func:`compute_from_partition`, no ``count * term`` product is rounded.
+    A float term is exactly ``num / den`` with ``den`` a power of two, so
+    every product, scaled to the largest ``den``, is an exact int. The one
+    ``int / int`` division at the end rounds correctly.
     """
-    degree_classes, sum_classes = g.edge_classes()
-    classes = degree_classes if kind.labeling == DEGREE else sum_classes
-    return math.fsum(
-        chain.from_iterable(
-            repeat(edge_term(kind, a, b), count) for (a, b), count in classes.items()
-        )
-    )
+    ratios = [
+        (count, *edge_term(kind, lo, hi).as_integer_ratio())
+        for (lo, hi), count in classes.items()
+    ]
+    scale = max((den for _, _, den in ratios), default=1)
+    return sum(count * num * (scale // den) for count, num, den in ratios) / scale
+
+
+def compute_index(g: Graph, kind: IndexKind) -> float:
+    """Index value by brute force: every edge's term, summed class by class.
+
+    :meth:`Graph.edge_classes` counts the edges per endpoint-label pair
+    under the index's labeling, and each class adds its count times its
+    term exactly; the value is bit-identical to summing edge by edge, in
+    any order, with ``math.fsum``.
+    """
+    return _class_sum(kind, g.edge_classes()[kind.labeling])
 
 
 def compute_from_partition(p: EdgePartition, kind: IndexKind) -> float:
-    """Index value from a partition table: class count times class weight."""
+    """Index value from a partition table: class count times class weight.
+
+    Summed by the same exact rule as :func:`compute_index`, so a graph's
+    :func:`matching_partition` gives the same bits.
+    """
     if p.mode != kind.labeling:
         raise ValueError(
             f"{kind.value} needs a {kind.labeling} partition, got {p.mode}"
         )
-    return math.fsum(
-        count * edge_term(kind, lo, hi) for (lo, hi), count in p.sorted_items()
-    )
+    return _class_sum(kind, p.classes)
 
 
 def matching_partition(g: Graph, kind: IndexKind) -> EdgePartition:
     """The edge partition whose mode matches the index's labeling."""
-    if kind.labeling == DEGREE:
-        return degree_partition(g)
-    return neighbor_sum_partition(g)
+    return _partition(g, kind.labeling)

@@ -3,18 +3,17 @@
 Each edge is classified by the pair of labels of its two endpoints, where
 the label is either the vertex degree or the neighbor-degree sum. Keys are
 normalized so ``lo <= hi``; counts cover every edge and empty classes are
-never stored. The tables come from :meth:`Graph.edge_classes`, computed once
-per graph; each partition holds its own copy, free to mutate.
+never stored. A partition's mode is the labeling's name, :data:`DEGREE` or
+:data:`NEIGHBOR_SUM`, and its table is the one :meth:`Graph.edge_classes`
+holds under that name, computed once per graph; each partition holds its
+own copy, free to mutate.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, TypeVar
 
-from .graph import Graph
-
-DEGREE = "degree"
-NEIGHBOR_SUM = "neighbor_sum"
+from .graph import DEGREE, NEIGHBOR_SUM, Graph
 
 _T = TypeVar("_T")
 
@@ -43,11 +42,15 @@ class EdgePartition(NamedTuple):
         return sorted(self.classes.items())
 
 
+def _partition(g: Graph, mode: str) -> EdgePartition:
+    return EdgePartition(mode, dict(g.edge_classes()[mode]))
+
+
 def degree_partition(g: Graph) -> EdgePartition:
     """Classify every edge by its endpoint degrees."""
-    return EdgePartition(DEGREE, dict(g.edge_classes()[0]))
+    return _partition(g, DEGREE)
 
 
 def neighbor_sum_partition(g: Graph) -> EdgePartition:
     """Classify every edge by its endpoint neighbor-degree sums."""
-    return EdgePartition(NEIGHBOR_SUM, dict(g.edge_classes()[1]))
+    return _partition(g, NEIGHBOR_SUM)

@@ -153,7 +153,7 @@ def test_criterion_6_property_suite():
         for kind in ALL_KINDS:
             direct = compute_index(g, kind)
             grouped = compute_from_partition(matching_partition(g, kind), kind)
-            if abs(direct - grouped) > 1e-12 * abs(direct):
+            if grouped != direct:
                 failures.append(f"graph {i}: {kind.value} partition mismatch")
             if direct < 0.0:
                 failures.append(f"graph {i}: {kind.value} negative")

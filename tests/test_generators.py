@@ -79,6 +79,16 @@ class TestDoubleWheel:
             tracemalloc.stop()
         assert peak < 100_000
 
+    def test_row_order_pinned(self):
+        # the CSR columns of double_wheel(1000) byte for byte, rows in builder order
+        g = double_wheel(1000)
+        assert hashlib.sha256(g._offsets.tobytes()).hexdigest() == (
+            "d0dcb9e208dde5bb2fb63863b45da188b9471824f3de7692ac7fe1b585038f0f"
+        )
+        assert hashlib.sha256(g._targets.tobytes()).hexdigest() == (
+            "8aa93644066f419a9a74d9d95af7934b45951a65cc121725604ad54aebf12372"
+        )
+
     def test_ring_structure(self):
         # hub 0, rings 1..n and n+1..2n, consecutive around each cycle
         g = double_wheel(4)
@@ -193,6 +203,11 @@ class TestMemoryLayout:
     def test_hanoi_build_peak(self, hanoi10):
         _, _, peak = hanoi10
         assert peak < 8_000_000
+
+    def test_double_wheel_build_peak(self):
+        # 2.26x while the hub row was prepended by concatenating two arrays
+        _, retained, peak = retained_and_peak_bytes(double_wheel, 100_000)
+        assert peak <= 1.25 * retained
 
     def test_edge_classes_peak(self):
         # 1,975,128 B while lists of degrees, sums, codes and ids were held

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import random_connected_graph, reference_index
 from topoindices import (
+    DEGREE,
+    NEIGHBOR_SUM,
     Graph,
     IndexKind,
     compute_index,
@@ -105,7 +107,11 @@ class TestCachedClasses:
         assert {k: compute_index(g, k) for k in IndexKind} == before
 
     def test_cached_tables_are_read_only(self):
-        for table in triangle().edge_classes():
+        classes = triangle().edge_classes()
+        assert set(classes) == {DEGREE, NEIGHBOR_SUM}
+        with pytest.raises(TypeError):
+            classes[DEGREE] = {}
+        for table in classes.values():
             with pytest.raises(TypeError):
                 table[(1, 1)] = 1
 
@@ -121,7 +127,8 @@ class TestCachedClasses:
         assert "out-of-range" in broken.validate()
         with pytest.raises(IndexError):
             broken.edge_classes()
-        copy = Graph.from_adjacency(double_wheel(5).adjacency)
+        g = double_wheel(5)
+        copy = Graph.from_adjacency(map(g.neighbors, range(g.vertex_count)))
         assert copy.validate() is None
         assert degree_partition(copy).classes == {(3, 3): 10, (3, 10): 10}
         for kind in IndexKind:

@@ -70,7 +70,7 @@ def test_partition_equals_edge_sum(g):
     for kind in ALL_KINDS:
         direct = compute_index(g, kind)
         grouped = compute_from_partition(matching_partition(g, kind), kind)
-        assert abs(direct - grouped) <= 1e-12 * abs(direct)
+        assert grouped == direct
 
 
 @given(connected_graphs())

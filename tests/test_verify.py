@@ -84,7 +84,8 @@ class TestVerifyFamily:
         def build(n):
             assert held == [], f"dw({n}) built while dw{held} is still held"
             held.append(n)
-            return Counted.from_adjacency(double_wheel(n).adjacency)
+            g = double_wheel(n)
+            return Counted.from_adjacency(map(g.neighbors, range(g.vertex_count)))
 
         monkeypatch.setattr(closed_forms, "double_wheel", build)
         report = verify_family("dw", kinds=(IndexKind.RANDIC, IndexKind.GA), n_range=(3, 40))
