@@ -39,8 +39,9 @@ from .graph import TYPECODE, Graph
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 214 MB resident; `generate`, which also holds the edge-list text, at
-# 330 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 504 MB.
+# 122 MB resident; `generate`, which also holds the edge-list text, at
+# 321 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 491 MB
+# (median of three runs each).
 DW_MAX_N = 10**6
 
 

@@ -41,16 +41,10 @@ class VerificationEntry(NamedTuple):
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "kind": self.kind.value,
-            "n": self.n,
-            "oracle_value": self.oracle_value,
-            "closed_value": self.closed_value,
-            "variant": self.variant.value,
-            "rel_error": self.rel_error,
-            "pass": self.passed,
-        }
+        record = {**self._asdict(), "kind": self.kind.value, "variant": self.variant.value}
+        # `passed` is the last field, so its "pass" key stays last
+        record["pass"] = record.pop("passed")
+        return record
 
 
 class Summary(NamedTuple):
@@ -146,10 +140,13 @@ def verify_family(
 ) -> VerificationReport:
     """Verify every (kind, n) closed form for one family against brute force.
 
-    With ``n_range=None`` each kind uses its default range (dw: [3, 64];
-    hanoi: [2, 8] for degree kinds, [3, 8] for neighbor-sum kinds). An
-    explicit range applies to every requested kind and must respect each
-    kind's validity floor and the generator size cap.
+    Every kind runs up to one shared end: ``n_range[1]``, or the family's
+    default (dw: 64; hanoi: 8). Each kind starts at ``n_range[0]``, or by
+    default at its validity floor (dw: 3; hanoi: 2 for degree kinds, 3 for
+    neighbor-sum kinds). An explicit range must respect each kind's floor
+    and the generator size cap; the checks run per kind in
+    :class:`IndexKind` order, each raising for an empty range, then a start
+    below the floor, then an end above the cap.
 
     Entries are listed in :class:`IndexKind` order, then by n, whatever the
     order of ``kinds``. The report carries the errata.
@@ -162,35 +159,31 @@ def verify_family(
         raise TypeError(f"kinds must be IndexKind members, got {kinds!r}")
     kinds = tuple(kind for kind in IndexKind if kind in kinds)
 
-    ranges: dict[IndexKind, tuple[int, int]] = {}
-    for kind in kinds:
+    lo, hi = n_range if n_range is not None else (None, record.default_max_n)
+    starts = {kind: record.min_n(kind) if lo is None else lo for kind in kinds}
+    for kind, start in starts.items():
         floor = record.min_n(kind)
-        lo, hi = n_range if n_range is not None else (floor, record.default_max_n)
-        if lo > hi:
-            raise ValueError(f"empty range: n_min={lo} > n_max={hi}")
-        if lo < floor:
+        if start > hi:
+            raise ValueError(f"empty range: n_min={start} > n_max={hi}")
+        if start < floor:
             raise ValueError(
                 f"{family} {kind.value} is only defined for n >= {floor}, "
-                f"requested range starts at {lo}"
+                f"requested range starts at {start}"
             )
         if hi > record.max_n:
             raise ValueError(
                 f"{family} generator size cap is n <= {record.max_n}, requested up to {hi}"
             )
-        ranges[kind] = (lo, hi)
 
     # Build each graph once, check every kind on it, and let it go, so at
     # most one graph is held at a time.
     entries: dict[IndexKind, list[VerificationEntry]] = {kind: [] for kind in kinds}
-    first = min((lo for lo, _ in ranges.values()), default=0)
-    last = max((hi for _, hi in ranges.values()), default=-1)
-    for n in range(first, last + 1):
-        wanted = [kind for kind in kinds if ranges[kind][0] <= n <= ranges[kind][1]]
-        if wanted:
-            graph = record.build(n)
-            for kind in wanted:
+    for n in range(min(starts.values(), default=hi + 1), hi + 1):
+        graph = record.build(n)
+        for kind, start in starts.items():
+            if start <= n:
                 entries[kind].append(verify_entry(family, kind, n, graph, tolerance, variant))
-            del graph
+        del graph
 
     return _report(tuple(chain.from_iterable(entries.values())))
 
@@ -214,27 +207,27 @@ def verify_all(
 def errata_report(n_probe: int = 3) -> list[Erratum]:
     """Errata the verification machinery exposes in the published derivations.
 
-    Evaluates both double-wheel abc4 variants against the oracle at
-    ``n_probe`` and emits an erratum per confirmed discrepancy, plus two
-    static documentation errata: the neighbor-sum partition table for the
-    Hanoi family omits its largest edge class, and the double-wheel abc4
-    derivation cites a partition table by a number that does not exist.
-    The Hanoi evidence is enumerated on ``hanoi(n_probe)``, so ``n_probe``
-    must not exceed the Hanoi generator cap.
+    Checks both double-wheel abc4 variants with :func:`verify_entry` on one
+    ``double_wheel(n_probe)`` and emits the abc4 erratum when the
+    proof-derived form passes at ``DEFAULT_TOLERANCE`` and the stated one
+    is off by more than ``MISMATCH_ERROR``. Two static documentation errata
+    follow: the neighbor-sum partition table for the Hanoi family omits its
+    largest edge class, and the double-wheel abc4 derivation cites a
+    partition table by a number that does not exist. The Hanoi evidence is
+    enumerated on ``hanoi(n_probe)``, so ``n_probe`` must not exceed the
+    Hanoi generator cap.
     """
     floor, cap = FAMILIES[DW].min_n(IndexKind.ABC4), FAMILIES[HANOI].max_n
     if not floor <= n_probe <= cap:
         raise ValueError(f"n_probe must satisfy {floor} <= n_probe <= {cap}, got {n_probe}")
     errata: list[Erratum] = []
 
-    as_stated = closed_form(DW, IndexKind.ABC4, n_probe, Variant.AS_STATED).value
-    proof_derived = closed_form(DW, IndexKind.ABC4, n_probe, Variant.PROOF_DERIVED).value
-    oracle = brute_force_value(DW, IndexKind.ABC4, n_probe)
-    confirmed = (
-        relative_error(proof_derived, oracle) <= DEFAULT_TOLERANCE
-        and relative_error(as_stated, oracle) > MISMATCH_ERROR
+    graph = FAMILIES[DW].build(n_probe)
+    stated, derived = (
+        verify_entry(DW, IndexKind.ABC4, n_probe, graph, DEFAULT_TOLERANCE, variant)
+        for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
     )
-    if confirmed:
+    if derived.passed and stated.rel_error > MISMATCH_ERROR:
         errata.append(
             Erratum(
                 location="double-wheel abc4 closed form (statement vs. derivation)",
@@ -245,9 +238,9 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
                 ),
                 evidence={
                     "n": n_probe,
-                    "as_stated": as_stated,
-                    "proof_derived": proof_derived,
-                    "oracle": oracle,
+                    "as_stated": stated.closed_value,
+                    "proof_derived": derived.closed_value,
+                    "oracle": derived.oracle_value,
                 },
             )
         )

@@ -1,8 +1,16 @@
 import hashlib
 import math
+import os
 import random
+from pathlib import Path
 
 from topoindices import Graph, IndexKind, edge_term
+
+# A plain `pytest` finds the package through `pythonpath` in pyproject.toml;
+# child processes that run `python -m topoindices` find it the same way.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def random_connected_graph(rng: random.Random, max_vertices: int = 50) -> Graph:

@@ -68,6 +68,25 @@ class TestCompute:
         assert code == 0
         assert out == "ga = 3\n"
 
+    def test_edge_list_source_as_csv_leaves_family_and_n_empty(self, tmp_path, capsys):
+        path = tmp_path / "tri.txt"
+        path.write_text(TRIANGLE)
+        code, out, _ = run(
+            capsys, "compute", "--edges", str(path), "--index", "ga", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "family,kind,n,method,value\n,ga,,brute,3\n"
+
+    def test_edges_with_family_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tri.txt"
+        path.write_text(TRIANGLE)
+        code, out, err = run(
+            capsys, "compute", "--edges", str(path), "--family", "dw", "--n", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --edges cannot be combined with --family/--n\n"
+
     def test_closed_method_requires_family(self, tmp_path, capsys):
         path = tmp_path / "tri.txt"
         path.write_text(TRIANGLE)
@@ -371,6 +390,34 @@ class TestDefaultPathBytes:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert sha256(out) == digest
+
+
+class TestModuleEntryPoint:
+    """``python -m topoindices`` runs ``main`` and exits with its code."""
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "topoindices", *argv],
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_errata_bytes(self):
+        proc = self._run("errata")
+        assert proc.returncode == 0
+        # the same pin as TestDefaultPathBytes' errata text
+        assert sha256(proc.stdout) == (
+            "09eb976d70ebcb2c653595fced9fd6416b6d34145b4d1eb9087845690d19d143"
+        )
+
+    def test_usage_error_exits_2(self):
+        # returned by main, not raised by argparse, so only sys.exit carries it
+        proc = self._run("verify", "--family", "dw", "--n-min", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: --n-min and --n-max must be given together\n"
 
 
 class TestArgparseContract:

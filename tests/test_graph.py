@@ -41,6 +41,11 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
 
+    def test_equality_with_a_non_graph_is_left_to_the_other_operand(self):
+        assert triangle().__eq__("x") is NotImplemented
+        assert triangle() != "x"
+        assert (triangle() == 1) is False
+
 
 class TestDegree:
     def test_triangle_is_2_regular(self):

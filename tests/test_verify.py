@@ -180,6 +180,21 @@ class TestErrata:
         assert erratum.evidence["reconstructed_count"] == (3**4 - 33) // 2 == 24
         assert erratum.evidence["enumerated_count"] == 24
 
+    @pytest.mark.parametrize("n_probe", [3, 10])
+    def test_abc4_evidence_is_the_reports_check(self, n_probe):
+        # The erratum and the verify report share one check, so its evidence
+        # is bit for bit what verify_family reports for each variant.
+        ev = errata_report(n_probe)[0].evidence
+        (stated,), (derived,) = (
+            verify_family(
+                "dw", kinds=(IndexKind.ABC4,), n_range=(n_probe, n_probe), variant=variant
+            ).entries
+            for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
+        )
+        assert ev["as_stated"].hex() == stated.closed_value.hex()
+        assert ev["proof_derived"].hex() == derived.closed_value.hex()
+        assert ev["oracle"].hex() == derived.oracle_value.hex() == stated.oracle_value.hex()
+
     def test_gap_persists_at_larger_probe(self):
         erratum = errata_report(10)[0]
         ev = erratum.evidence
