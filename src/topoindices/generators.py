@@ -34,7 +34,7 @@ from .graph import TYPECODE, Graph
 # CPython 3.11).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 76 MB resident, and computing all six indices on it at 100 MB; each
+# 76 MB resident, and computing all six indices on it at 88 MB; each
 # further disc triples that.
 HANOI_MAX_N = 13
 

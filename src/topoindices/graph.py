@@ -22,6 +22,15 @@ list, the per-vertex reads, and the edge-class tables of
 labeling's name (:data:`DEGREE` or :data:`NEIGHBOR_SUM`). The tables are
 the one derived value that is cached, on first use.
 
+The tables are counted by exception. A vertex's label depends only on the
+degrees of the vertex and of its neighbors, so with ``d0`` the most common
+degree, a label can differ from ``(d0, d0 * d0)`` only at a vertex of
+another degree or at one of its neighbors. Only those rows are summed, and
+only the rows of vertices off the most common label are walked edge by
+edge; the rest of the edges are counted from the totals. In ``hanoi(n)``
+that is the three corners and their six neighbors out of ``3**n``
+vertices.
+
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
 compute the same tables twice.
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, islice, pairwise, repeat
 from operator import add, sub
 from types import MappingProxyType
@@ -57,6 +66,54 @@ def _flatten(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
         targets.extend(row)
         offsets.append(len(targets))
     return offsets, targets
+
+
+# Vertex lists are scanned, and CSR columns sliced, this many items at a time.
+_BLOCK = 1 << 8
+
+
+def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
+    """The maximal ``[start, end)`` runs of nonzero bytes in ``flags``,
+    shifted by ``base``."""
+    runs = []
+    end = 0
+    while (start := flags.find(1, end)) >= 0:
+        end = flags.find(0, start)
+        if end < 0:
+            end = len(flags)
+        runs.append((base + start, base + end))
+    return runs
+
+
+def _differing(values: list[int], common: int) -> list[tuple[int, int]]:
+    """Runs of the positions where ``values`` holds anything but ``common``.
+
+    A block that holds ``common`` throughout costs one C-level ``count``;
+    only the other blocks are compared item by item.
+    """
+    runs = []
+    for start in range(0, len(values), _BLOCK):
+        block = values[start : start + _BLOCK]
+        if block.count(common) != len(block):
+            runs += _runs(bytes(map(common.__ne__, block)), start)
+    return runs
+
+
+def _blocks(runs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """``runs`` cut into ``[start, end)`` pieces of at most ``_BLOCK`` items."""
+    for start, end in runs:
+        for i in range(start, end, _BLOCK):
+            yield i, min(i + _BLOCK, end)
+
+
+def _pieces(column: Sequence[int], runs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """The items of ``column`` in ``runs``, in order, copied a block at a time."""
+    return chain.from_iterable(column[start:end] for start, end in _blocks(runs))
+
+
+def _slots(offsets: array, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The target-slot runs of the rows of the vertex runs ``runs``."""
+    return [(offsets[start], offsets[end]) for start, end in runs]
 
 
 class Graph:
@@ -146,31 +203,89 @@ class Graph:
         are computed once; the mapping and both tables are read-only views
         of the cache.
 
-        Every step but the last is a C-level pass over the arrays. Each
-        vertex's neighbor sum adds up the next ``degree`` items of one
-        shared stream of target degrees, which are its own row's. Its
-        ``(degree, neighbor_sum)`` label is ranked to a small id as it is
-        streamed, so the ``Counter`` counts small ints, one per target slot:
-        each edge is seen once in each orientation, and the tables halve the
-        counts at the end. The degrees and the ids are the only
-        vertex-length lists; no list of sums or labels is held.
+        The count is exact and walks only the rows of exceptional vertices.
+        A vertex's ``(degree, neighbor_sum)`` label depends only on its own
+        degree and its neighbors' degrees. So with ``d0`` the most common
+        degree, a label can differ from ``(d0, d0 * d0)`` only in T, the
+        vertices of another degree and their neighbors:
+
+        * Labels: T's degrees and neighbor sums are summed over T's rows,
+          and each label is ranked to a small id as it is streamed. Every
+          vertex outside T gets id 0, the label ``(d0, d0 * d0)``.
+        * Pairs: only the rows of S, the vertices whose id is not the most
+          common one, are counted, one ``source * width + target`` int per
+          target slot. A slot from S to a most-common vertex is mirrored,
+          for that vertex's row is not walked, and every other slot joins
+          two most-common vertices. Each edge is seen once in each
+          orientation, and the tables halve the counts at the end.
+
+        In ``hanoi(n)``, n >= 3, T and S are the three corners and their
+        six neighbors; in the double wheel, T is every vertex and S the
+        hub. Vertex runs are found a block at a time, so a block without
+        exceptions costs one C-level ``count``, and columns are copied a
+        block at a time; the degrees and the ids are the only
+        vertex-length lists.
+
+        The graph must be valid: rows outside T are never read. A row with
+        ``vertex_count`` or more neighbors, which cannot be a simple graph's,
+        raises ``IndexError``.
         """
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
         degrees = list(map(sub, islice(offsets, 1, None), offsets))
-        target_degrees = map(degrees.__getitem__, targets)
-        sums = map(sum, map(islice, repeat(target_degrees), degrees))
-        # map draws each label, then len(rank), before its lookup, so a new
-        # label gets the next id
-        rank: dict[tuple[int, int], int] = {}
-        ids = list(map(rank.setdefault, zip(degrees, sums), map(len, repeat(rank))))
-        width = len(rank)
-        source_ids = chain.from_iterable(map(repeat, map(width.__mul__, ids), degrees))
-        pairs = Counter(map(add, source_ids, map(ids.__getitem__, targets)))
+        vertex_count = len(degrees)
+        degree_counts = Counter(degrees)
+        if degree_counts and max(degree_counts) >= vertex_count:
+            raise IndexError(
+                f"a row of {max(degree_counts)} neighbors among {vertex_count} vertices "
+                "lists a neighbor out of range or twice"
+            )
+        d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
-        labels = list(rank)
+        # T: the vertices of another degree than d0, and their neighbors
+        odd = _differing(degrees, d0)
+        in_t = bytearray(vertex_count)
+        for v in chain(_pieces(range(vertex_count), odd), _pieces(targets, _slots(offsets, odd))):
+            in_t[v] = 1
+        t_runs = _runs(in_t)
+        del in_t
+
+        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, t_runs)))
+        sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, t_runs)))
+        # map draws each label, then len(rank), before its lookup, so a new
+        # label gets the next id; the None key holds id 0 for the vertices
+        # outside T
+        rank: dict[tuple[int, int] | None, int] = {None: 0}
+        t_ids = map(rank.setdefault, zip(_pieces(degrees, t_runs), sums), map(len, repeat(rank)))
+        ids = [0] * vertex_count
+        for start, end in _blocks(t_runs):
+            ids[start:end] = islice(t_ids, end - start)
         # a label is (degree, neighbor_sum), in the order of these tables
+        labels = [(d0, d0 * d0), *islice(rank, 1, None)]
+        width = len(labels)
+
+        # S: the vertices off the most common id; only their rows are walked
+        id_counts = Counter(_pieces(ids, t_runs))
+        id_counts[0] = ids.count(0)
+        common = max(id_counts, key=id_counts.__getitem__)
+        s_runs = _differing(ids, common)
+        s_slots = _slots(offsets, s_runs)
+        source_ids = chain.from_iterable(
+            map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _pieces(degrees, s_runs))
+        )
+        pairs = Counter(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
+        # mirror each slot from S to a most-common vertex; the slots left
+        # over join two most-common vertices
+        rest = len(targets) - sum(end - start for start, end in s_slots)
+        for pair, count in list(pairs.items()):
+            source, target = divmod(pair, width)
+            if target == common:
+                pairs[common * width + source] = count
+                rest -= count
+        if rest:
+            pairs[common * width + common] = rest
+
         tables: dict[str, dict[tuple[int, int], int]] = {DEGREE: {}, NEIGHBOR_SUM: {}}
         for pair, count in pairs.items():
             source, target = divmod(pair, width)

@@ -208,14 +208,17 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
     """Errata the verification machinery exposes in the published derivations.
 
     Checks both double-wheel abc4 variants with :func:`verify_entry` on one
-    ``double_wheel(n_probe)`` and emits the abc4 erratum when the
-    proof-derived form passes at ``DEFAULT_TOLERANCE`` and the stated one
-    is off by more than ``MISMATCH_ERROR``. Two static documentation errata
-    follow: the neighbor-sum partition table for the Hanoi family omits its
-    largest edge class, and the double-wheel abc4 derivation cites a
-    partition table by a number that does not exist. The Hanoi evidence is
-    enumerated on ``hanoi(n_probe)``, so ``n_probe`` must not exceed the
-    Hanoi generator cap.
+    ``double_wheel(n_probe)`` and emits the abc4 erratum when the stated
+    form equals the degree-based abc closed form bit for bit, the
+    proof-derived form passes at ``DEFAULT_TOLERANCE``, and the stated one
+    is off by more than ``MISMATCH_ERROR``. The Hanoi erratum follows when
+    the reconstructed count of the neighbor-sum partition's missing (9, 9)
+    class, ``(3**(k+1) - 33) // 2``, equals the count enumerated on
+    ``hanoi(k)`` at ``k = n_probe`` and at a second size, ``n_probe + 1``
+    (``n_probe - 1`` at the Hanoi generator cap, which ``n_probe`` must
+    not exceed); its evidence is that of ``n_probe``. Last comes a static
+    documentation erratum: the double-wheel abc4 derivation cites a
+    partition table by a number that does not exist.
     """
     floor, cap = FAMILIES[DW].min_n(IndexKind.ABC4), FAMILIES[HANOI].max_n
     if not floor <= n_probe <= cap:
@@ -227,7 +230,8 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
         verify_entry(DW, IndexKind.ABC4, n_probe, graph, DEFAULT_TOLERANCE, variant)
         for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
     )
-    if derived.passed and stated.rel_error > MISMATCH_ERROR:
+    duplicate = stated.closed_value == closed_form(DW, IndexKind.ABC, n_probe).value
+    if duplicate and derived.passed and stated.rel_error > MISMATCH_ERROR:
         errata.append(
             Erratum(
                 location="double-wheel abc4 closed form (statement vs. derivation)",
@@ -245,23 +249,29 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
             )
         )
 
-    reconstructed = (3 ** (n_probe + 1) - 33) // 2
-    enumerated = neighbor_sum_partition(FAMILIES[HANOI].build(n_probe)).classes.get((9, 9), 0)
-    errata.append(
-        Erratum(
-            location="hanoi neighbor-sum edge partition table",
-            description=(
-                "the published table lists only three of the four edge classes; "
-                "the (9, 9) class with count (3**(n+1) - 33) / 2 completes the "
-                "partition and matches direct enumeration"
-            ),
-            evidence={
-                "n": n_probe,
-                "reconstructed_count": reconstructed,
-                "enumerated_count": enumerated,
-            },
+    # The count is affine in 3**n, so agreement at two sizes pins it; the
+    # second size is the next one, or the one before at the generator cap.
+    sizes = (n_probe, n_probe + 1 if n_probe < cap else n_probe - 1)
+    reconstructed = {k: (3 ** (k + 1) - 33) // 2 for k in sizes}
+    enumerated = {
+        k: neighbor_sum_partition(FAMILIES[HANOI].build(k)).classes.get((9, 9), 0) for k in sizes
+    }
+    if reconstructed == enumerated:
+        errata.append(
+            Erratum(
+                location="hanoi neighbor-sum edge partition table",
+                description=(
+                    "the published table lists only three of the four edge classes; "
+                    "the (9, 9) class with count (3**(n+1) - 33) / 2 completes the "
+                    "partition and matches direct enumeration"
+                ),
+                evidence={
+                    "n": n_probe,
+                    "reconstructed_count": reconstructed[n_probe],
+                    "enumerated_count": enumerated[n_probe],
+                },
+            )
         )
-    )
 
     errata.append(
         Erratum(

@@ -2,9 +2,13 @@ import hashlib
 import math
 import os
 import random
+from collections import Counter
+from itertools import chain, islice, repeat
+from operator import add, sub
 from pathlib import Path
 
 from topoindices import Graph, IndexKind, edge_term
+from topoindices.graph import DEGREE, NEIGHBOR_SUM
 
 # A plain `pytest` finds the package through `pythonpath` in pyproject.toml;
 # child processes that run `python -m topoindices` find it the same way.
@@ -141,3 +145,35 @@ def reference_index(g: Graph, kind: IndexKind) -> float:
     else:
         lab = [g.degree(v) for v in range(g.vertex_count)]
     return math.fsum(edge_term(kind, lab[u], lab[v]) for u, v in g.edges())
+
+
+def reference_edge_classes(g: Graph) -> dict[str, dict[tuple[int, int], int]]:
+    """Both edge-class tables of ``g``, counted over every target slot.
+
+    The classifier :meth:`Graph.edge_classes` used before it walked only the
+    exceptional rows: every vertex's ``(degree, neighbor_sum)`` label is
+    ranked to a small id, and one ``Counter`` counts a pair id per slot.
+    """
+    offsets, targets = g._offsets, g._targets
+    degrees = list(map(sub, islice(offsets, 1, None), offsets))
+    target_degrees = map(degrees.__getitem__, targets)
+    sums = map(sum, map(islice, repeat(target_degrees), degrees))
+    # map draws each label, then len(rank), before its lookup, so a new
+    # label gets the next id
+    rank: dict[tuple[int, int], int] = {}
+    ids = list(map(rank.setdefault, zip(degrees, sums), map(len, repeat(rank))))
+    width = len(rank)
+    source_ids = chain.from_iterable(map(repeat, map(width.__mul__, ids), degrees))
+    pairs = Counter(map(add, source_ids, map(ids.__getitem__, targets)))
+
+    labels = list(rank)
+    # a label is (degree, neighbor_sum), in the order of these tables
+    tables: dict[str, dict[tuple[int, int], int]] = {DEGREE: {}, NEIGHBOR_SUM: {}}
+    for pair, count in pairs.items():
+        source, target = divmod(pair, width)
+        for table, a, b in zip(tables.values(), labels[source], labels[target]):
+            key = (a, b) if a <= b else (b, a)
+            table[key] = table.get(key, 0) + count
+    return {
+        mode: {key: count // 2 for key, count in table.items()} for mode, table in tables.items()
+    }

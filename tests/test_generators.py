@@ -217,6 +217,17 @@ class TestMemoryLayout:
         _, _, peak = retained_and_peak_bytes(Graph.edge_classes, g)
         assert peak <= 0.6 * 1_975_128
 
+    @pytest.mark.parametrize(
+        "build, n, before", [(hanoi, 10, 1_005_505), (double_wheel, 100_000, 3_250_584)]
+    )
+    def test_edge_classes_peak_by_exception(self, build, n, before):
+        # `before`: the peak when every slot was counted, with the degrees and
+        # the ids the only vertex-length lists. Walking only T's rows keeps to
+        # it; a set or dict of T (every vertex of the double wheel) would not.
+        g = build(n)
+        _, _, peak = retained_and_peak_bytes(Graph.edge_classes, g)
+        assert peak <= 1.05 * before
+
 
 class TestEdgeListMemory:
     """Neither direction of the edge-list path holds a Python object per

@@ -1,10 +1,26 @@
+from collections import Counter
+
 import pytest
 
+from conftest import reference_edge_classes
 from topoindices import Graph, double_wheel, hanoi
+from topoindices.graph import DEGREE, NEIGHBOR_SUM
 
 
 def triangle() -> Graph:
     return Graph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def star(leaves: int) -> Graph:
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def classes(g: Graph) -> dict[str, dict[tuple[int, int], int]]:
+    return {mode: dict(table) for mode, table in g.edge_classes().items()}
 
 
 class TestConstruction:
@@ -158,3 +174,59 @@ class TestValidate:
     def test_disconnected(self):
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert "disconnected" in two_triangles.validate()
+
+
+class TestEdgeClasses:
+    """The classifier walks only the rows near a vertex of another degree
+    than the most common one; each case is held to the reference that
+    counts every target slot."""
+
+    @pytest.mark.parametrize(
+        "g", [cycle(3), cycle(10), Graph(4, [(u, v) for v in range(4) for u in range(v)])]
+    )
+    def test_regular_graphs_have_one_class(self, g):
+        d, m = g.degree(0), g.edge_count()
+        expected = {DEGREE: {(d, d): m}, NEIGHBOR_SUM: {(d * d, d * d): m}}
+        assert classes(g) == reference_edge_classes(g) == expected
+
+    @pytest.mark.parametrize("leaves", [1, 2, 3, 7])
+    def test_stars(self, leaves):
+        # the hub is the one vertex of another degree, and every leaf its neighbor
+        g = star(leaves)
+        assert classes(g) == reference_edge_classes(g)
+        assert classes(g)[DEGREE] == {(1, leaves): leaves}
+
+    def test_a_vertex_near_another_degree_can_carry_the_common_label(self):
+        # a 10-cycle with a pendant path 0 - 10 - 11: vertex 10 has degree 2,
+        # the most common one, and neighbors of degrees 3 and 1
+        g = Graph(12, [(v, (v + 1) % 10) for v in range(10)] + [(0, 10), (10, 11)])
+        assert Counter(map(g.degree, range(12))).most_common(1) == [(2, 10)]
+        assert (g.degree(10), g.neighbor_degree_sum(10)) == (2, 4)
+        assert classes(g) == reference_edge_classes(g)
+        assert classes(g)[NEIGHBOR_SUM] == {
+            (4, 4): 6, (4, 5): 2, (5, 6): 2, (4, 6): 1, (2, 4): 1,
+        }
+
+    def test_most_common_degree_under_half_the_vertices(self):
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (2, 3), (3, 4)])
+        counts = Counter(map(g.degree, range(7)))
+        assert 2 * max(counts.values()) < g.vertex_count
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_no_edges_gives_two_empty_tables(self, n):
+        empty = {DEGREE: {}, NEIGHBOR_SUM: {}}
+        assert classes(Graph(n)) == reference_edge_classes(Graph(n)) == empty
+
+    @pytest.mark.parametrize(
+        "g",
+        [hanoi(n) for n in range(1, 10)] + [double_wheel(n) for n in (3, 4, 700)],
+        ids=[f"hanoi{n}" for n in range(1, 10)] + [f"dw{n}" for n in (3, 4, 700)],
+    )
+    def test_families(self, g):
+        # hanoi(9) spans many scan blocks; the dw(700) hub row spans several
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_a_row_longer_than_the_vertex_count_is_rejected(self):
+        with pytest.raises(IndexError, match="out of range or twice"):
+            Graph.from_adjacency([[1, 1, 1], [0]]).edge_classes()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_index
+from conftest import reference_edge_classes, reference_index
 from topoindices import (
     Graph,
     IndexKind,
@@ -44,6 +44,20 @@ def connected_graphs(draw, max_vertices=20):
     return Graph(n, edges)
 
 
+@st.composite
+def nearly_regular_graphs(draw, max_vertices=3000):
+    """A cycle with a few chords and pendant vertices, so that most vertices
+    share one degree and the rest sit anywhere, across scan blocks too."""
+    n = draw(st.integers(min_value=3, max_value=max_vertices))
+    edges = {(v, (v + 1) % n) for v in range(n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if u != v:
+            edges.add((u, v))
+    pendants = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    edges.update((u, n + i) for i, u in enumerate(pendants))
+    return Graph(n + len(pendants), edges)
+
+
 labels = st.integers(min_value=1, max_value=10_000)
 
 
@@ -56,6 +70,13 @@ def test_handshake(g):
 def test_neighbor_sum_totals_squared_degrees(g):
     total = sum(g.neighbor_degree_sum(v) for v in range(g.vertex_count))
     assert total == sum(g.degree(v) ** 2 for v in range(g.vertex_count))
+
+
+@given(st.one_of(connected_graphs(), nearly_regular_graphs()))
+@settings(max_examples=300, deadline=None)
+def test_edge_classes_equal_the_reference(g):
+    classes = {mode: dict(table) for mode, table in g.edge_classes().items()}
+    assert classes == reference_edge_classes(g)
 
 
 @given(connected_graphs())

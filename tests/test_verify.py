@@ -1,6 +1,9 @@
+import ast
+import inspect
 import json
 import math
 import re
+import textwrap
 
 import pytest
 
@@ -16,8 +19,30 @@ from topoindices import (
     verify_all,
     verify_family,
 )
-from topoindices import closed_forms
+from topoindices import closed_forms, verify
 from topoindices.closed_forms import FAMILIES
+from topoindices.partition import EdgePartition
+
+
+DW_CLOSED_FORM_SOURCE = textwrap.dedent(inspect.getsource(closed_forms.dw_closed_form))
+
+
+def dw_closed_form_with_as_stated_constant_bumped(index: int | None):
+    """``dw_closed_form`` recompiled from its source with the ``index``-th
+    number of the as-stated abc4 line raised by 1 (``None``: unchanged),
+    and how many numbers that line has."""
+    tree = ast.parse(DW_CLOSED_FORM_SOURCE)
+    as_stated = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "variant is Variant.AS_STATED"
+    )
+    numbers = [node for node in ast.walk(as_stated.body[0]) if isinstance(node, ast.Constant)]
+    if index is not None:
+        numbers[index].value += 1
+    namespace = dict(vars(closed_forms))
+    exec(compile(tree, "<dw_closed_form>", "exec"), namespace)
+    return namespace["dw_closed_form"], len(numbers)
 
 
 class TestVerifyFamily:
@@ -194,6 +219,57 @@ class TestErrata:
         assert ev["as_stated"].hex() == stated.closed_value.hex()
         assert ev["proof_derived"].hex() == derived.closed_value.hex()
         assert ev["oracle"].hex() == derived.oracle_value.hex() == stated.oracle_value.hex()
+
+    @pytest.mark.parametrize("n_probe", [3, 13])
+    @pytest.mark.parametrize("wrong_size", [0, 1])
+    def test_hanoi_erratum_needs_the_count_at_two_sizes(self, monkeypatch, n_probe, wrong_size):
+        # the reconstructed count is affine in 3**n, so it is checked at
+        # n_probe and at a second size; a count off at either drops the erratum
+        second = n_probe + 1 if n_probe < FAMILIES["hanoi"].max_n else n_probe - 1
+        wrong = (n_probe, second)[wrong_size]
+        partition = verify.neighbor_sum_partition
+
+        def miscounted(g):
+            p = partition(g)
+            if g.vertex_count == 3**wrong:
+                p.classes[(9, 9)] += 1
+            return p
+
+        locations = [e.location for e in errata_report(3)]
+        monkeypatch.setattr(verify, "neighbor_sum_partition", miscounted)
+        errata = errata_report(n_probe)
+        assert "hanoi neighbor-sum edge partition table" in locations
+        assert [e.location for e in errata] == [
+            loc for loc in locations if not loc.startswith("hanoi")
+        ]
+
+    def test_hanoi_erratum_evidence_is_from_n_probe(self, monkeypatch):
+        seen: list[int] = []
+
+        def recorded(g):
+            seen.append(g.vertex_count)
+            return EdgePartition("neighbor_sum", {(9, 9): (3 * g.vertex_count - 33) // 2})
+
+        monkeypatch.setattr(verify, "neighbor_sum_partition", recorded)
+        erratum = next(e for e in errata_report(5) if "hanoi" in e.location)
+        assert seen == [3**5, 3**6]
+        assert erratum.evidence == {"n": 5, "reconstructed_count": 348, "enumerated_count": 348}
+
+    def test_abc4_erratum_needs_the_stated_form_to_duplicate_abc(self, monkeypatch):
+        # every number of the as-stated line, raised by 1, drops the erratum:
+        # the formula would still be wrong, but no longer the abc form
+        unchanged, count = dw_closed_form_with_as_stated_constant_bumped(None)
+        assert count == 6  # 4 * n / 3 + 2 * n * math.sqrt((1 + 2 * n) / (6 * n))
+        monkeypatch.setattr(closed_forms, "dw_closed_form", unchanged)
+        assert errata_report(3)[0].location.startswith("double-wheel abc4 closed form")
+        for index in range(count):
+            mutant, _ = dw_closed_form_with_as_stated_constant_bumped(index)
+            monkeypatch.setattr(closed_forms, "dw_closed_form", mutant)
+            stated = mutant(IndexKind.ABC4, 3, Variant.AS_STATED)
+            assert relative_error(stated.value, brute_force_value("dw", IndexKind.ABC4, 3)) > 0.1
+            locations = [e.location for e in errata_report(3)]
+            assert not any(loc.startswith("double-wheel abc4 closed form") for loc in locations)
+            assert len(locations) == 2
 
     def test_gap_persists_at_larger_probe(self):
         erratum = errata_report(10)[0]
