@@ -34,14 +34,14 @@ from .graph import TYPECODE, Graph
 # CPython 3.11).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 76 MB resident, and computing all six indices on it at 88 MB; each
+# 77 MB resident, and computing all six indices on it at 90 MB; each
 # further disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 122 MB resident; `generate`, which also holds the edge-list text, at
-# 321 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 491 MB
-# (median of three runs each).
+# 125 MB resident; `generate`, which also holds the edge-list text, at
+# 329 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 488 MB
+# (two to three runs each).
 DW_MAX_N = 10**6
 
 

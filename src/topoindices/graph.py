@@ -29,7 +29,8 @@ another degree or at one of its neighbors. Only those rows are summed, and
 only the rows of vertices off the most common label are walked edge by
 edge; the rest of the edges are counted from the totals. In ``hanoi(n)``
 that is the three corners and their six neighbors out of ``3**n``
-vertices.
+vertices; in a graph of scattered degrees it is nearly every vertex, and
+the count costs about what counting every slot would.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -211,45 +212,59 @@ class Graph:
 
         * Labels: T's degrees and neighbor sums are summed over T's rows,
           and each label is ranked to a small id as it is streamed. Every
-          vertex outside T gets id 0, the label ``(d0, d0 * d0)``.
+          vertex outside T gets id 0, the label ``(d0, d0 * d0)``. When
+          the rows of the vertices of another degree hold at least as many
+          slots as there are vertices of degree ``d0``, T may be every
+          vertex; it is then taken to be every vertex, and none is marked.
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
-          target slot. A slot from S to a most-common vertex is mirrored,
-          for that vertex's row is not walked, and every other slot joins
-          two most-common vertices. Each edge is seen once in each
-          orientation, and the tables halve the counts at the end.
+          target slot. A slot from S to a most-common vertex is counted
+          twice, for its mirror is in that vertex's row, which is not
+          walked, and every other slot joins two most-common vertices. Each
+          edge is seen once in each orientation, and the tables halve the
+          counts at the end.
 
         In ``hanoi(n)``, n >= 3, T and S are the three corners and their
-        six neighbors; in the double wheel, T is every vertex and S the
-        hub. Vertex runs are found a block at a time, so a block without
+        six neighbors. In the double wheel, T is every vertex and S the
+        hub, and on an irregular graph both are most of the vertices, so
+        the count walks about as many slots as counting every slot would.
+        Vertex runs are found a block at a time, so a block without
         exceptions costs one C-level ``count``, and columns are copied a
-        block at a time; the degrees and the ids are the only
-        vertex-length lists.
+        block at a time; the degrees and the ids are the only vertex-length
+        lists.
 
-        The graph must be valid: rows outside T are never read. A row with
-        ``vertex_count`` or more neighbors, which cannot be a simple graph's,
-        raises ``IndexError``.
+        Every neighbor id is checked to lie in ``[0, vertex_count)``, and
+        ``IndexError`` is raised if one does not, wherever its row is. Rows
+        outside T are never read otherwise, so the graph must be valid: on
+        one that :meth:`validate` rejects for another reason (a self-loop,
+        a neighbor listed twice, asymmetric rows), the tables are
+        meaningless.
         """
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
         degrees = list(map(sub, islice(offsets, 1, None), offsets))
         vertex_count = len(degrees)
+        # read unsigned, a negative id is 2**63 or more
+        if max(memoryview(targets).cast("B").cast("Q"), default=-1) >= vertex_count:
+            raise IndexError(f"a row lists a neighbor outside [0, {vertex_count})")
         degree_counts = Counter(degrees)
-        if degree_counts and max(degree_counts) >= vertex_count:
-            raise IndexError(
-                f"a row of {max(degree_counts)} neighbors among {vertex_count} vertices "
-                "lists a neighbor out of range or twice"
-            )
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
-        # T: the vertices of another degree than d0, and their neighbors
-        odd = _differing(degrees, d0)
-        in_t = bytearray(vertex_count)
-        for v in chain(_pieces(range(vertex_count), odd), _pieces(targets, _slots(offsets, odd))):
-            in_t[v] = 1
-        t_runs = _runs(in_t)
-        del in_t
+        # T: the vertices of another degree than d0, and their neighbors.
+        # Their rows can reach every vertex of degree d0 only if they hold at
+        # least as many slots; T is then taken to be every vertex
+        d0_count = degree_counts[d0]
+        if len(targets) - d0 * d0_count >= d0_count:
+            t_runs = [(0, vertex_count)]
+        else:
+            odd = _differing(degrees, d0)
+            odd_slots = _slots(offsets, odd)
+            in_t = bytearray(vertex_count)
+            for v in chain(_pieces(range(vertex_count), odd), _pieces(targets, odd_slots)):
+                in_t[v] = 1
+            t_runs = _runs(in_t)
+            del in_t
 
         target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, t_runs)))
         sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, t_runs)))
@@ -275,14 +290,14 @@ class Graph:
             map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _pieces(degrees, s_runs))
         )
         pairs = Counter(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
-        # mirror each slot from S to a most-common vertex; the slots left
-        # over join two most-common vertices
+        # a slot from S to a most-common vertex is counted twice, once for
+        # its mirror in that vertex's row, which is not walked; the slots
+        # left over join two most-common vertices
         rest = len(targets) - sum(end - start for start, end in s_slots)
-        for pair, count in list(pairs.items()):
-            source, target = divmod(pair, width)
-            if target == common:
-                pairs[common * width + source] = count
-                rest -= count
+        for pair in range(common, width * width, width):
+            if pair in pairs:
+                rest -= pairs[pair]
+                pairs[pair] *= 2
         if rest:
             pairs[common * width + common] = rest
 

@@ -227,6 +227,12 @@ class TestEdgeClasses:
         # hanoi(9) spans many scan blocks; the dw(700) hub row spans several
         assert classes(g) == reference_edge_classes(g)
 
-    def test_a_row_longer_than_the_vertex_count_is_rejected(self):
-        with pytest.raises(IndexError, match="out of range or twice"):
-            Graph.from_adjacency([[1, 1, 1], [0]]).edge_classes()
+    @pytest.mark.parametrize(
+        "rows",
+        [[{5}], [{5}, {0}], [[-1], [0]], [[1], [0, 2]], [[1], [0, -(2**63)]], [[1], [0, 2**63 - 1]]],
+    )
+    def test_a_neighbor_out_of_range_is_rejected(self, rows):
+        # [{5}, {0}] has one degree throughout, so no row is in T and none
+        # is walked: the range check alone finds the missing vertex 5
+        with pytest.raises(IndexError, match=r"outside \[0, "):
+            Graph.from_adjacency(rows).edge_classes()
