@@ -27,7 +27,7 @@ from array import array
 from collections.abc import Iterator
 from itertools import accumulate, chain, islice
 
-from .graph import TYPECODE, Graph
+from .graph import TYPECODE, Graph, _flatten
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks measured with getrusage on a 64-bit Linux build of
@@ -201,15 +201,17 @@ def from_edge_list(text: str) -> Graph:
     input lines. A connected graph on ``V`` vertices needs at least
     ``V - 1`` edges, so a larger id means a disconnected graph; it is
     rejected before any vertex is allocated. Each edge is appended to both
-    endpoints' rows, one ``array`` of 8-byte ids per vertex, so range,
-    self-loops and symmetry hold by construction. The text is split into
+    endpoints' rows, one ``array`` of 8-byte ids per vertex, so rows are
+    symmetric and ids in range by construction. The text is split into
     lines a chunk at a time, so no list of all its lines is built.
 
     Duplicate edges (in either orientation) are found after the last line,
     as rows longer than their set of ids. Only then, or when a line fails
     a check, are the lines read again to name the first duplicate, so the
     first bad line raises ``ValueError`` naming it, whatever its fault.
-    Last come non-emptiness and connectivity.
+    The rows then make a simple graph, which is built from them without a
+    second check; last, :meth:`Graph.validate` checks that it is non-empty
+    and connected.
     """
     line_count = sum(map(len, _line_chunks(text)))
     adj: list[array] = []
@@ -243,8 +245,8 @@ def from_edge_list(text: str) -> Graph:
         adj[v].append(u)
     if sum(map(len, map(set, adj))) != sum(map(len, adj)):
         raise ValueError(_first_duplicate(text, line_count))
-    g = Graph.from_adjacency(adj)
-    problem = g._connectivity_problem()
+    g = Graph._from_csr(*_flatten(adj))
+    problem = g.validate()
     if problem is not None:
         raise ValueError(problem)
     return g

@@ -1,8 +1,12 @@
 """Simple undirected graph with degree and neighbor-degree-sum queries.
 
 Vertices are dense 0-based integers with no labels; generators document
-their own numbering. Adjacency has set semantics (no self-loops, no
-parallel edges).
+their own numbering. Every ``Graph`` is simple, with every neighbor id in
+``[0, vertex_count)``, because every public builder checks its input: the
+edge-list constructor rejects bad ids and self-loops and merges duplicate
+edges, :func:`~topoindices.from_edge_list` checks every line, and the
+generators write columns that hold the invariant by construction. No query
+checks it again.
 
 The graph is stored in CSR (compressed sparse rows) form, two flat
 ``array`` columns of signed 64-bit ints and nothing per vertex:
@@ -53,9 +57,7 @@ NEIGHBOR_SUM = "neighbor_sum"
 # (lo, hi) endpoint-label pair -> number of edges in that class
 ClassTable = Mapping[tuple[int, int], int]
 
-# Item type of both CSR columns, wide enough for any vertex id or offset. No
-# builder writes a negative value; the type stays signed so that
-# `Graph.from_adjacency` can hold a negative id and `Graph.validate` name it.
+# Item type of both CSR columns, wide enough for any vertex id or offset.
 TYPECODE = "q"
 
 
@@ -139,19 +141,6 @@ class Graph:
         self._classes: Mapping[str, ClassTable] | None = None
 
     @classmethod
-    def from_adjacency(cls, adjacency: Iterable[Iterable[int]]) -> Graph:
-        """Build directly from per-vertex neighbor rows, unchecked.
-
-        ``adjacency`` is read once, so a generator of rows will do. Serves
-        generators whose construction already guarantees the invariants,
-        and lets malformed graphs (asymmetric adjacency, self-loops, a
-        neighbor listed twice) be constructed and then diagnosed with
-        :meth:`validate`. Other callers should use the edge-list
-        constructor, which enforces the invariants up front.
-        """
-        return cls._from_csr(*_flatten(adjacency))
-
-    @classmethod
     def _from_csr(cls, offsets: array, targets: array) -> Graph:
         """The graph with these CSR columns, taken over without a copy."""
         g = object.__new__(cls)
@@ -233,21 +222,15 @@ class Graph:
         block at a time; the degrees and the ids are the only vertex-length
         lists.
 
-        Every neighbor id is checked to lie in ``[0, vertex_count)``, and
-        ``IndexError`` is raised if one does not, wherever its row is. Rows
-        outside T are never read otherwise, so the graph must be valid: on
-        one that :meth:`validate` rejects for another reason (a self-loop,
-        a neighbor listed twice, asymmetric rows), the tables are
-        meaningless.
+        Rows outside T and S are never read, which the invariant of every
+        ``Graph`` makes sound: ids are in range, rows are symmetric, and no
+        slot is a loop or a repeat.
         """
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
         degrees = list(map(sub, islice(offsets, 1, None), offsets))
         vertex_count = len(degrees)
-        # read unsigned, a negative id is 2**63 or more
-        if max(memoryview(targets).cast("B").cast("Q"), default=-1) >= vertex_count:
-            raise IndexError(f"a row lists a neighbor outside [0, {vertex_count})")
         degree_counts = Counter(degrees)
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
@@ -318,37 +301,7 @@ class Graph:
         return len(self._targets) // 2
 
     def validate(self) -> str | None:
-        """Return ``None`` if valid and connected, else the first violation found.
-
-        Checks, vertex by vertex and in row order: neighbor ids in range, no
-        self-loops, no neighbor listed twice; then symmetric adjacency, and
-        finally at least one vertex and connectivity.
-        """
-        n = self.vertex_count
-        arcs: set[int] = set()
-        for v, row in enumerate(self._rows()):
-            for u in row:
-                if not (0 <= u < n):
-                    return f"vertex {v} lists out-of-range neighbor {u}"
-                if u == v:
-                    return f"self-loop at vertex {v}"
-                if v * n + u in arcs:
-                    return f"vertex {v} lists neighbor {u} twice"
-                arcs.add(v * n + u)
-        for v, row in enumerate(self._rows()):
-            for u in row:
-                if u * n + v not in arcs:
-                    return (
-                        f"asymmetric adjacency: {u} is a neighbor of {v} "
-                        f"but {v} is not a neighbor of {u}"
-                    )
-        return self._connectivity_problem()
-
-    def _connectivity_problem(self) -> str | None:
-        """Return ``None`` if the graph is non-empty and connected, else why not.
-
-        Assumes every neighbor id is in range.
-        """
+        """Return ``None`` if the graph is non-empty and connected, else why not."""
         offsets, targets = self._offsets, self._targets
         n = self.vertex_count
         if n == 0:

@@ -131,7 +131,7 @@ def reference_from_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: duplicate edge {(min(u, v), hi)}")
         nbrs.add(v)
         adj[v].add(u)
-    g = Graph.from_adjacency(adj)
+    g = Graph(len(adj), ((u, v) for u, row in enumerate(adj) for v in row))
     problem = g.validate()
     if problem is not None:
         raise ValueError(problem)

@@ -2,6 +2,7 @@ import hashlib
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -263,8 +264,8 @@ class TestIdentityIgnoresConstructionPath:
     )
     def test_paths_agree(self, build, reference, n):
         g = build(n)
-        reversed_rows = Graph.from_adjacency(
-            sorted(g.neighbors(v), reverse=True) for v in range(g.vertex_count)
+        reversed_rows = Graph._from_csr(
+            g._offsets, array(TYPECODE, chain.from_iterable(map(reversed, map(sorted, g._rows()))))
         )
         paths = [reference(n), reversed_rows, from_edge_list(to_edge_list(g))]
         # the paths really do order some rows differently
@@ -454,6 +455,18 @@ class TestFromEdgeList:
             ("0 1\n1 1\n1 0\n", "line 2: self-loop at vertex 1"),
             ("0 1\n1 0\n0 x\n", "line 2: duplicate edge (0, 1)"),
             ("0 1\n0 1\n5 0\n", "line 2: duplicate edge (0, 1)"),
+            # ids no graph may hold: negative, or beyond the line count
+            ("0 1\n1 -1\n", "line 2: vertex ids must be non-negative, got '1 -1'"),
+            (
+                "0 1\n1 -9223372036854775808\n",
+                "line 2: vertex ids must be non-negative, got '1 -9223372036854775808'",
+            ),
+            (
+                "0 1\n1 9223372036854775807\n",
+                "line 2: vertex id 9223372036854775807 is larger than the number of input "
+                "lines (2), so the graph is disconnected: a connected graph on "
+                "9223372036854775808 vertices needs at least 9223372036854775807 edges",
+            ),
         ],
     )
     def test_error_messages(self, text, message):

@@ -1,10 +1,13 @@
+from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_edge_classes
-from topoindices import Graph, double_wheel, hanoi
-from topoindices.graph import DEGREE, NEIGHBOR_SUM
+from topoindices import Graph, double_wheel, from_edge_list, hanoi
+from topoindices.graph import DEGREE, NEIGHBOR_SUM, TYPECODE
 
 
 def triangle() -> Graph:
@@ -40,14 +43,23 @@ class TestConstruction:
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
         assert g.edge_count() == 1
 
-    def test_from_adjacency_reads_a_one_shot_generator(self):
-        rows = ([u for u in range(3) if u != v] for v in range(3))
-        g = Graph.from_adjacency(rows)
-        assert g == triangle()
-        assert g.validate() is None
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 5)], "edge (1, 5) has an endpoint outside [0, 2)"),
+            ([(0, 1), (1, -2)], "edge (1, -2) has an endpoint outside [0, 2)"),
+            ([(0, 1), (1, 1)], "self-loop at vertex 1"),
+        ],
+        ids=["beyond", "negative", "self-loop"],
+    )
+    def test_violations_named(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(2, edges)
+        assert str(info.value) == message
 
     def test_adjacency_is_built_from_the_rows(self):
-        g = Graph.from_adjacency([[2, 1], [0], [0]])
+        # rows taken over as written, the first one unsorted
+        g = Graph._from_csr(array(TYPECODE, [0, 2, 3, 4]), array(TYPECODE, [2, 1, 0, 0]))
         assert g.neighbors(0) == frozenset({1, 2})
         assert g.edges() == [(0, 1), (0, 2)]
 
@@ -146,31 +158,6 @@ class TestValidate:
     def test_empty_graph(self):
         assert "no vertices" in Graph(0).validate()
 
-    def test_asymmetric_adjacency(self):
-        g = Graph.from_adjacency([{1}, set()])
-        assert "asymmetric" in g.validate()
-
-    def test_self_loop(self):
-        g = Graph.from_adjacency([{0, 1}, {0}])
-        assert "self-loop" in g.validate()
-
-    def test_out_of_range_neighbor(self):
-        g = Graph.from_adjacency([{5}])
-        assert "out-of-range" in g.validate()
-
-    @pytest.mark.parametrize(
-        "rows, message",
-        [
-            ([[1], [0, 5]], "vertex 1 lists out-of-range neighbor 5"),
-            ([[1], [0, -2]], "vertex 1 lists out-of-range neighbor -2"),
-            ([[1], [1, 0]], "self-loop at vertex 1"),
-            ([[1, 2], [0], []], "asymmetric adjacency: 2 is a neighbor of 0 but 0 is not a neighbor of 2"),
-            ([[1, 1], [0]], "vertex 0 lists neighbor 1 twice"),
-        ],
-    )
-    def test_from_adjacency_violations_named(self, rows, message):
-        assert Graph.from_adjacency(rows).validate() == message
-
     def test_disconnected(self):
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert "disconnected" in two_triangles.validate()
@@ -232,7 +219,54 @@ class TestEdgeClasses:
         [[{5}], [{5}, {0}], [[-1], [0]], [[1], [0, 2]], [[1], [0, -(2**63)]], [[1], [0, 2**63 - 1]]],
     )
     def test_a_neighbor_out_of_range_is_rejected(self, rows):
-        # [{5}, {0}] has one degree throughout, so no row is in T and none
-        # is walked: the range check alone finds the missing vertex 5
-        with pytest.raises(IndexError, match=r"outside \[0, "):
-            Graph.from_adjacency(rows).edge_classes()
+        # the classifier reads ids unchecked, and no graph it is given can
+        # hold one outside [0, V): the constructor rejects each such row
+        edges = [(v, u) for v, row in enumerate(rows) for u in row]
+        with pytest.raises(ValueError, match="outside"):
+            Graph(len(rows), edges)
+
+
+def assert_simple(g: Graph) -> None:
+    """Rows in range, free of loops and repeats, and symmetric; both
+    classifiers agree on them."""
+    n = g.vertex_count
+    rows = [list(g._targets[g._offsets[v] : g._offsets[v + 1]]) for v in range(n)]
+    for v, row in enumerate(rows):
+        assert all(0 <= u < n and u != v for u in row)
+        assert len(set(row)) == len(row)
+        assert all(v in rows[u] for u in row)
+    assert classes(g) == reference_edge_classes(g)
+
+
+@st.composite
+def edge_lists(draw):
+    """A vertex count and edges over it: a spanning tree, often with more
+    edges, loops, repeats and ids negative or out of range added."""
+    n = draw(st.integers(1, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    ids = st.integers(0, n - 1)
+    bad_ids = st.integers(-3, -1) | st.integers(n, 2 * n) | st.sampled_from([-(2**63), 2**63 - 1])
+    faults = st.one_of(
+        st.tuples(ids, ids),
+        ids.map(lambda u: (u, u)),
+        st.sampled_from(edges or [(0, 0)]).map(lambda e: e[::-1]),
+        st.tuples(ids, bad_ids),
+    )
+    for fault in draw(st.lists(faults, max_size=4)):
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_every_graph_built_is_simple(case):
+    """Each builder either rejects the edges with ``ValueError`` or
+    returns a simple graph."""
+    n, edges = case
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    for build in (lambda: Graph(n, edges), lambda: from_edge_list(text)):
+        try:
+            g = build()
+        except ValueError:
+            continue
+        assert_simple(g)

@@ -121,14 +121,10 @@ class TestCachedClasses:
         assert g == fresh
         assert hash(g) == hash(fresh)
 
-    def test_from_adjacency_fills_the_cache_lazily(self):
-        # a malformed graph is built and diagnosed without classifying it
-        broken = Graph.from_adjacency([{5}])
-        assert "out-of-range" in broken.validate()
-        with pytest.raises(IndexError):
-            broken.edge_classes()
+    def test_a_rebuilt_graph_fills_the_cache_lazily(self):
         g = double_wheel(5)
-        copy = Graph.from_adjacency(map(g.neighbors, range(g.vertex_count)))
+        copy = Graph(g.vertex_count, g.edges())
+        assert copy._classes is None
         assert copy.validate() is None
         assert degree_partition(copy).classes == {(3, 3): 10, (3, 10): 10}
         for kind in IndexKind:

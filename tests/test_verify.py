@@ -110,7 +110,7 @@ class TestVerifyFamily:
             assert held == [], f"dw({n}) built while dw{held} is still held"
             held.append(n)
             g = double_wheel(n)
-            return Counted.from_adjacency(map(g.neighbors, range(g.vertex_count)))
+            return Counted(g.vertex_count, g.edges())
 
         monkeypatch.setattr(closed_forms, "double_wheel", build)
         report = verify_family("dw", kinds=(IndexKind.RANDIC, IndexKind.GA), n_range=(3, 40))
