@@ -62,7 +62,8 @@ class ClosedFormResult(NamedTuple):
 def _checked(family: str):
     """Give a family's closed form the checks both families share: ``TypeError``
     unless ``n`` is an ``int`` (not a ``bool``), ``ValueError`` when ``n`` is
-    below the family's floor for ``kind`` or the value overflows a float."""
+    below the family's floor for ``kind``, the form divides by zero at ``n``,
+    or the value overflows a float."""
 
     def decorate(formula):
         @functools.wraps(formula)
@@ -77,6 +78,10 @@ def _checked(family: str):
                     return result
             except OverflowError:
                 pass
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"{family} {kind.value} closed form is undefined at n = {n}"
+                ) from None
             raise ValueError(f"{family} {kind.value} closed form overflows a float at n = {n}")
 
         return checked

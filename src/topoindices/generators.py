@@ -25,7 +25,7 @@ import re
 import sys
 from array import array
 from collections.abc import Iterator
-from itertools import accumulate, chain, islice
+from itertools import chain, islice, pairwise
 
 from .graph import TYPECODE, Graph, _flatten
 
@@ -34,12 +34,12 @@ from .graph import TYPECODE, Graph, _flatten
 # CPython 3.11).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 77 MB resident, and computing all six indices on it at 90 MB; each
-# further disc triples that.
+# 63 MB resident, and `compute --index all` on it at 67 MB (three runs
+# each); each further disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 125 MB resident; `generate`, which also holds the edge-list text, at
+# 109 MB resident; `generate`, which also holds the edge-list text, at
 # 329 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 488 MB
 # (two to three runs each).
 DW_MAX_N = 10**6
@@ -95,18 +95,26 @@ def hanoi(n: int) -> Graph:
     edges ``{3c+p, 3c+q}`` (Hinz et al., 2013).
 
     Every row is 3 slots wide while the levels are built; the three
-    degree-2 corners hold a pad in slot 2. A level first copies each row
-    of the previous one three times, one strided slice assignment per peg
-    and slot: ``new[3p+j::9]`` is slot ``j`` of every row of copy ``p``.
-    It then maps every id ``u`` of copy ``p`` to ``3u+p`` with big-int lane
-    arithmetic: each block of ``_LANE_BLOCK`` bytes, read as one integer in
-    the native byte order of the array, becomes ``block * 3 + pegs``, where
-    ``pegs`` holds ``p`` in every 8-byte lane of copy ``p`` (a 9-lane
-    period). Pads are 0, since a negative lane would borrow from the next,
-    and every lane holds an id below ``3**(k-1)``, so ``3u+p`` stays below
-    ``3**k`` and no lane ever carries into the next. Each padded corner
-    slot of a copy is either where a bridge lands or one of the three
-    slots deleted at the end, so a pad's value is never read.
+    degree-2 corners hold a pad in slot 2. A level first takes the three
+    slot columns ``rows[j::3]`` of the previous one and frees it, so that
+    only those columns and the new level are held at once. It copies each
+    column three times, one strided slice assignment per peg and slot:
+    slice ``3p+j::9`` of the new level is slot ``j`` of every row of copy
+    ``p``. It then maps every id ``u`` of copy ``p`` to ``3u+p`` with
+    big-int lane arithmetic: each block of ``_LANE_BLOCK`` bytes, read as
+    one integer in the native byte order of the array, becomes
+    ``block * 3 + pegs``, where ``pegs`` holds ``p`` in every 8-byte lane
+    of copy ``p`` (a 9-lane period). Pads are 0, since a negative lane
+    would borrow from the next, and every lane holds an id below
+    ``3**(k-1)``, so ``3u+p`` stays below ``3**k`` and no lane ever
+    carries into the next. Each padded corner slot of a copy is either
+    where a bridge lands or one of the three slots deleted at the end, so
+    a pad's value is never read.
+
+    Every vertex but the corners has degree 3, so the offsets are written
+    directly, with no degree array: ``offsets[v]`` is ``3v`` minus the
+    number of corners below ``v``, a range per run of vertices between two
+    corners, written ``_OFFSETS_BLOCK`` items at a time.
     """
     _require_int(n)
     if n < 1:
@@ -115,13 +123,13 @@ def hanoi(n: int) -> Graph:
         raise ValueError(f"hanoi size cap is n <= {HANOI_MAX_N}, got {n}")
     rows = array(TYPECODE, [1, 2, 0, 0, 2, 0, 0, 1, 0])
     for k in range(2, n + 1):
-        new = array(TYPECODE, [0]) * (3 * len(rows))
-        for j in (0, 1, 2):
-            column = rows[j::3]
+        columns = [rows[j::3] for j in (0, 1, 2)]
+        del rows
+        rows = array(TYPECODE, [0]) * (9 * len(columns[0]))
+        for j, column in enumerate(columns):
             for p in (0, 1, 2):
-                new[3 * p + j :: 9] = column
-        del column
-        rows = new
+                rows[3 * p + j :: 9] = column
+        del columns, column
         _triple_and_shift(rows)
         all_on_one = (3 ** (k - 1) - 1) // 2
         for r, p, q in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
@@ -130,11 +138,19 @@ def hanoi(n: int) -> Graph:
             rows[3 * (c + q) + 2] = c + p
     size = 3**n
     corners = (0, (size - 1) // 2, size - 1)
-    degrees = array(TYPECODE, [3]) * size
     for c in reversed(corners):
         del rows[3 * c + 2]
-        degrees[c] = 2
-    return Graph._from_csr(array(TYPECODE, accumulate(degrees, initial=0)), rows)
+    # one run per corner: the vertices after it, up to the next corner
+    offsets = array(TYPECODE, [0]) * (size + 1)
+    for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
+        for start in range(first + 1, last + 1, _OFFSETS_BLOCK):
+            end = min(start + _OFFSETS_BLOCK, last + 1)
+            offsets[start:end] = array(TYPECODE, range(3 * start - below, 3 * end - below, 3))
+    return Graph._from_csr(offsets, rows)
+
+
+# Items of `hanoi`'s offsets written at a time, as one array of a range.
+_OFFSETS_BLOCK = 1 << 14
 
 
 # `pegs` over 2048 periods of 9 lanes, each lane holding the peg of its copy.

@@ -34,7 +34,10 @@ only the rows of vertices off the most common label are walked edge by
 edge; the rest of the edges are counted from the totals. In ``hanoi(n)``
 that is the three corners and their six neighbors out of ``3**n``
 vertices; in a graph of scattered degrees it is nearly every vertex, and
-the count costs about what counting every slot would.
+the count costs about what counting every slot would. Besides the two
+columns, the count holds a degree and a label id per vertex, one byte each
+while they fit in a byte: in ``hanoi(n)``, two bytes per vertex against the
+graph's 32.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -43,11 +46,12 @@ compute the same tables twice.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain, islice, pairwise, repeat
-from operator import add, sub
+from operator import add
 from types import MappingProxyType
 
 # The two vertex labelings, and the keys of `Graph.edge_classes`
@@ -71,8 +75,65 @@ def _flatten(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
     return offsets, targets
 
 
-# Vertex lists are scanned, and CSR columns sliced, this many items at a time.
+# Vertex columns are scanned, and CSR columns sliced, this many items at a time.
 _BLOCK = 1 << 8
+
+# Bytes in one CSR item, the 8-byte lane of the lane arithmetic below.
+_LANE = array(TYPECODE).itemsize
+# One in every lane of a block, and every bit above each lane's low byte,
+# as integers in the native byte order of the columns.
+_ONES = int.from_bytes(array(TYPECODE, [1]) * _BLOCK, sys.byteorder)
+_HIGH_BITS = _ONES * ((1 << 8 * _LANE) - (1 << 8))
+# The position of each lane's low byte.
+_LOW_BYTE = 0 if sys.byteorder == "little" else _LANE - 1
+
+# A per-vertex column of small ints: a bytearray while every item is below
+# 256, widened once to a list when one is not.
+_Column = bytearray | list[int]
+
+
+def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
+    """Every vertex's degree, and the number of vertices of each degree.
+
+    A block of degrees comes out of one big-int subtraction: the block's
+    slice of ``offsets`` shifted by one item, read as a single integer in
+    the native byte order, minus the unshifted slice. Offsets never
+    decrease, so no 8-byte lane borrows from the next, and each lane of the
+    difference is one degree. A block whose lanes all equal its first
+    degree is counted with one comparison against that degree times
+    ``_ONES``; only the other blocks are fed to the ``Counter``.
+
+    The column is a ``bytearray`` while every degree is below 256, and is
+    widened once, at the first block that holds a larger one.
+    """
+    order = sys.byteorder
+    vertex_count = len(offsets) - 1
+    column: _Column = bytearray(vertex_count)
+    counts: Counter[int] = Counter()
+    ones = _ONES
+    with memoryview(offsets).cast("B") as raw:
+        for start in range(0, vertex_count, _BLOCK):
+            end = min(start + _BLOCK, vertex_count)
+            if end - start < _BLOCK:
+                # the last, short block: every lane of _ONES is alike, so
+                # its low lanes are the short block's pattern
+                ones &= (1 << 8 * _LANE * (end - start)) - 1
+            lo, hi = start * _LANE, end * _LANE
+            lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
+            lanes -= int.from_bytes(raw[lo:hi], order)
+            if lanes & _HIGH_BITS and isinstance(column, bytearray):
+                column = list(column)
+            items = lanes.to_bytes(hi - lo, order)
+            if isinstance(column, bytearray):
+                column[start:end] = items[_LOW_BYTE::_LANE]
+            else:
+                column[start:end] = array(TYPECODE, items).tolist()
+            first = offsets[start + 1] - offsets[start]
+            if lanes == first * ones:
+                counts[first] += end - start
+            else:
+                counts.update(column[start:end])
+    return column, counts
 
 
 def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
@@ -88,7 +149,7 @@ def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
     return runs
 
 
-def _differing(values: list[int], common: int) -> list[tuple[int, int]]:
+def _differing(values: _Column, common: int) -> list[tuple[int, int]]:
     """Runs of the positions where ``values`` holds anything but ``common``.
 
     A block that holds ``common`` throughout costs one C-level ``count``;
@@ -219,8 +280,16 @@ class Graph:
         the count walks about as many slots as counting every slot would.
         Vertex runs are found a block at a time, so a block without
         exceptions costs one C-level ``count``, and columns are copied a
-        block at a time; the degrees and the ids are the only vertex-length
-        lists.
+        block at a time. The degrees and the ids are the only vertex-length
+        columns, each a ``bytearray`` while its items fit in a byte and
+        widened once to a list when one does not: the degrees by
+        :func:`_degree_column` at the first block with a degree of 256 or
+        more, the ids, which T's labels are ranked straight into, when a
+        257th label appears. A list, not an ``array`` of 8-byte ints,
+        because it indexes about twice as fast for the same 8 bytes per
+        vertex: an id above 256 is the int ``rank`` holds, shared by every
+        vertex of its label, and a degree above 256 belongs to a row of at
+        least 257 slots, beside which its own int is small.
 
         Rows outside T and S are never read, which the invariant of every
         ``Graph`` makes sound: ids are in range, rows are symmetric, and no
@@ -229,9 +298,8 @@ class Graph:
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
-        degrees = list(map(sub, islice(offsets, 1, None), offsets))
+        degrees, degree_counts = _degree_column(offsets)
         vertex_count = len(degrees)
-        degree_counts = Counter(degrees)
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
         # T: the vertices of another degree than d0, and their neighbors.
@@ -256,9 +324,12 @@ class Graph:
         # outside T
         rank: dict[tuple[int, int] | None, int] = {None: 0}
         t_ids = map(rank.setdefault, zip(_pieces(degrees, t_runs), sums), map(len, repeat(rank)))
-        ids = [0] * vertex_count
+        ids: _Column = bytearray(vertex_count)
         for start, end in _blocks(t_runs):
-            ids[start:end] = islice(t_ids, end - start)
+            block = list(islice(t_ids, end - start))
+            if len(rank) > 256 and isinstance(ids, bytearray):
+                ids = list(ids)
+            ids[start:end] = bytes(block) if isinstance(ids, bytearray) else block
         # a label is (degree, neighbor_sum), in the order of these tables
         labels = [(d0, d0 * d0), *islice(rank, 1, None)]
         width = len(labels)

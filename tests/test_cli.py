@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 from conftest import sha256
-from topoindices import DW_MAX_N, Graph, IndexKind, Variant, double_wheel, from_edge_list
+from topoindices import (
+    DW_MAX_N,
+    Graph,
+    IndexKind,
+    Variant,
+    closed_forms,
+    double_wheel,
+    from_edge_list,
+)
 from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
 
@@ -318,6 +326,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "0 < tol < 0.1" in err
+
+    def test_undefined_closed_form_exits_2(self, capsys, monkeypatch):
+        # rebound where FAMILIES looks it up, as the mutation tests do: a form
+        # that divides by zero at the range's first n, wrapped like the real one
+        @closed_forms._checked(closed_forms.DW)
+        def undefined(kind, n, variant=Variant.PROOF_DERIVED):
+            value = 1 / (n - 3)
+            return closed_forms.ClosedFormResult(closed_forms.DW, kind, n, variant, value, False)
+
+        monkeypatch.setattr(closed_forms, "dw_closed_form", undefined)
+        code, out, err = run(capsys, "verify", "--family", "dw")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: dw randic closed form is undefined at n = 3"]
 
     def test_half_specified_range_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--family", "dw", "--n-min", "3")

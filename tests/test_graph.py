@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_edge_classes
 from topoindices import Graph, double_wheel, from_edge_list, hanoi
-from topoindices.graph import DEGREE, NEIGHBOR_SUM, TYPECODE
+from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _degree_column
 
 
 def triangle() -> Graph:
@@ -24,6 +24,14 @@ def star(leaves: int) -> Graph:
 
 def classes(g: Graph) -> dict[str, dict[tuple[int, int], int]]:
     return {mode: dict(table) for mode, table in g.edge_classes().items()}
+
+
+def assert_degree_column(g: Graph) -> None:
+    """The classifier's degree column and counts agree with ``degree``."""
+    column, counts = _degree_column(g._offsets)
+    degrees = list(map(g.degree, range(g.vertex_count)))
+    assert list(column) == degrees
+    assert counts == Counter(degrees)
 
 
 class TestConstruction:
@@ -169,9 +177,18 @@ class TestEdgeClasses:
     counts every target slot."""
 
     @pytest.mark.parametrize(
-        "g", [cycle(3), cycle(10), Graph(4, [(u, v) for v in range(4) for u in range(v)])]
+        "g",
+        [
+            cycle(3),
+            cycle(10),
+            Graph(4, [(u, v) for v in range(4) for u in range(v)]),
+            # every block of degrees alike, the last one whole or short
+            cycle(_BLOCK),
+            cycle(3 * _BLOCK + 5),
+        ],
     )
     def test_regular_graphs_have_one_class(self, g):
+        assert_degree_column(g)
         d, m = g.degree(0), g.edge_count()
         expected = {DEGREE: {(d, d): m}, NEIGHBOR_SUM: {(d * d, d * d): m}}
         assert classes(g) == reference_edge_classes(g) == expected
@@ -212,6 +229,40 @@ class TestEdgeClasses:
     )
     def test_families(self, g):
         # hanoi(9) spans many scan blocks; the dw(700) hub row spans several
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("degree", [255, 256, 257])
+    def test_hub_past_the_first_block(self, degree):
+        # a cycle with a hub in its third block: the degree column is a
+        # bytearray until that block, and a list from there on when a
+        # degree is 256 or more
+        hub = 2 * _BLOCK + 7
+        g = Graph(3 * _BLOCK, [*cycle(3 * _BLOCK).edges(), *((hub, v) for v in range(degree - 2))])
+        assert g.degree(hub) == degree
+        assert isinstance(_degree_column(g._offsets)[0], list) == (degree >= 256)
+        assert_degree_column(g)
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_more_than_256_labels(self):
+        # a path of hubs, hub k with k + 1 leaves: each hub and each hub's
+        # leaves carry a label of their own, so the id column widens
+        hubs = 140
+        leaves = range(hubs, hubs + hubs * (hubs + 1) // 2)
+        edges = [(k, k + 1) for k in range(hubs - 1)]
+        edges += zip((k for k in range(hubs) for _ in range(k + 1)), leaves)
+        g = Graph(leaves.stop, edges)
+        labels = {(g.degree(v), g.neighbor_degree_sum(v)) for v in range(g.vertex_count)}
+        assert len(labels) > 256
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("odd", [_BLOCK - 1, _BLOCK])
+    def test_one_exception_beside_a_block_boundary(self, odd):
+        # two cycles that share vertex `odd`, the one vertex of degree 4
+        size = 3 * _BLOCK
+        loop = [odd, *range(size, size + 9), odd]
+        g = Graph(size + 9, [*cycle(size).edges(), *zip(loop, loop[1:])])
+        assert [v for v in range(g.vertex_count) if g.degree(v) != 2] == [odd]
+        assert_degree_column(g)
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize(
