@@ -25,9 +25,9 @@ import re
 import sys
 from array import array
 from collections.abc import Iterator
-from itertools import chain, islice, pairwise
+from itertools import chain, pairwise
 
-from .graph import TYPECODE, Graph, _flatten
+from .graph import TYPECODE, Graph, _csr
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks measured with getrusage on a 64-bit Linux build of
@@ -40,8 +40,8 @@ HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
 # 109 MB resident; `generate`, which also holds the edge-list text, at
-# 329 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 488 MB
-# (two to three runs each).
+# 321 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 318 MB
+# (three runs each).
 DW_MAX_N = 10**6
 
 
@@ -212,86 +212,82 @@ def from_edge_list(text: str) -> Graph:
     ids; lines starting with ``#`` and blank lines are ignored; the vertex
     count is the largest id plus one. Lines break as in ``str.splitlines``.
 
-    Each line is checked as it is read: the field count, integer ids,
-    non-negative ids, no self-loop, and an id no larger than the number of
-    input lines. A connected graph on ``V`` vertices needs at least
-    ``V - 1`` edges, so a larger id means a disconnected graph; it is
-    rejected before any vertex is allocated. Each edge is appended to both
-    endpoints' rows, one ``array`` of 8-byte ids per vertex, so rows are
-    symmetric and ids in range by construction. The text is split into
-    lines a chunk at a time, so no list of all its lines is built.
+    One pass reads the lines, a chunk of text at a time so that no list of
+    all of them is built, and appends each edge's two ids to one ``array``
+    of unsigned 8-byte ids; nothing is allocated per vertex while lines are
+    read. Then no id may be larger than the number of input lines, for a
+    connected graph on ``V`` vertices needs at least ``V - 1`` edges. Only
+    then are the CSR columns built, and the rows checked for a repeated id,
+    which a self-loop or a duplicate edge (in either orientation) leaves.
 
-    Duplicate edges (in either orientation) are found after the last line,
-    as rows longer than their set of ids. Only then, or when a line fails
-    a check, are the lines read again to name the first duplicate, so the
-    first bad line raises ``ValueError`` naming it, whatever its fault.
-    The rows then make a simple graph, which is built from them without a
-    second check; last, :meth:`Graph.validate` checks that it is non-empty
-    and connected.
+    Any fault, a line that is not two non-negative ids below ``2**64`` or
+    one that the largest-id or row check finds, sends the text to one more
+    read, :func:`_first_fault`, and the ``ValueError`` raised names the
+    first faulty line, whatever its fault. Last, :meth:`Graph.validate`
+    checks that the graph is non-empty and connected.
     """
-    line_count = sum(map(len, _line_chunks(text)))
-    adj: list[array] = []
+    # unsigned, so that a negative id overflows its item as one of 2**64 does
+    ends = array("Q")
+    lineno = 0
     for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         try:
             a, b = raw.split()
-            u, v = int(a), int(b)
-        except ValueError:
-            # the rare lines: blank, comment or malformed
+            ends.append(int(a))
+            ends.append(int(b))
+        except (ValueError, OverflowError):
+            # the rare lines: blank, comment or faulty
             parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
-            raise _line_error(text, lineno, f"{what}, got {raw.strip()!r}") from None
-        if u < 0 or v < 0:
-            raise _line_error(text, lineno, f"vertex ids must be non-negative, got {raw.strip()!r}")
-        if u == v:
-            raise _line_error(text, lineno, f"self-loop at vertex {u}")
-        hi = u if u > v else v
-        if hi >= len(adj):
-            if hi > line_count:
-                raise _line_error(
-                    text,
-                    lineno,
-                    f"vertex id {hi} is larger than the number of input lines ({line_count}), "
-                    f"so the graph is disconnected: a connected graph on {hi + 1} vertices "
-                    f"needs at least {hi} edges",
-                )
-            adj.extend([array(TYPECODE) for _ in range(hi + 1 - len(adj))])
-        adj[u].append(v)
-        adj[v].append(u)
-    if sum(map(len, map(set, adj))) != sum(map(len, adj)):
-        raise ValueError(_first_duplicate(text, line_count))
-    g = Graph._from_csr(*_flatten(adj))
+            if parts and not parts[0].startswith("#"):
+                raise ValueError(_first_fault(text)) from None
+    top = max(ends, default=-1)
+    if top > lineno:
+        raise ValueError(_first_fault(text))
+    g = Graph._from_csr(*_csr(top + 1, ends))
+    del ends
+    if sum(map(len, map(set, g._rows()))) != len(g._targets):
+        raise ValueError(_first_fault(text))
     problem = g.validate()
     if problem is not None:
         raise ValueError(problem)
     return g
 
 
-def _first_duplicate(text: str, stop: int) -> str | None:
-    """The error for the first duplicate edge in the first ``stop`` lines
-    of ``text``, or ``None``.
+def _first_fault(text: str) -> str:
+    """The error message for the first faulty line of ``text``.
 
-    Each of those lines must have passed the per-line checks.
+    The lines are read again in order, one edge set of ``(lo, hi)`` pairs
+    held, and each line's checks are made in this order: two fields,
+    integer ids, non-negative ids, no self-loop, no id larger than the
+    number of lines, not an edge seen on an earlier line. ``text`` must
+    hold a faulty line.
     """
+    line_count = sum(map(len, _line_chunks(text)))
     seen: set[tuple[int, int]] = set()
-    lines = islice(chain.from_iterable(_line_chunks(text)), stop)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
-        u, v = map(int, parts)
+        try:
+            u, v = map(int, parts)
+        except ValueError:
+            what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
+            return f"line {lineno}: {what}, got {raw.strip()!r}"
+        if u < 0 or v < 0:
+            return f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
+        if u == v:
+            return f"line {lineno}: self-loop at vertex {u}"
         edge = (u, v) if u < v else (v, u)
+        hi = edge[1]
+        if hi > line_count:
+            return (
+                f"line {lineno}: vertex id {hi} is larger than the number of input lines "
+                f"({line_count}), so the graph is disconnected: a connected graph on "
+                f"{hi + 1} vertices needs at least {hi} edges"
+            )
         if edge in seen:
             return f"line {lineno}: duplicate edge {edge}"
         seen.add(edge)
-    return None
-
-
-def _line_error(text: str, lineno: int, problem: str) -> ValueError:
-    """The error for a fault found on line ``lineno``, unless a duplicate
-    edge on an earlier line comes first."""
-    return ValueError(_first_duplicate(text, lineno - 1) or f"line {lineno}: {problem}")
+    raise AssertionError("edge-list text without a faulty line")
 
 
 # Vertices whose lines are formatted and joined at a time, so that no

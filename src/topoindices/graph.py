@@ -2,11 +2,13 @@
 
 Vertices are dense 0-based integers with no labels; generators document
 their own numbering. Every ``Graph`` is simple, with every neighbor id in
-``[0, vertex_count)``, because every public builder checks its input: the
-edge-list constructor rejects bad ids and self-loops and merges duplicate
-edges, :func:`~topoindices.from_edge_list` checks every line, and the
-generators write columns that hold the invariant by construction. No query
-checks it again.
+``[0, vertex_count)``, because every public builder checks its input. The
+constructor and :func:`~topoindices.from_edge_list` both hand one flat
+column of endpoint ids to one CSR builder. The constructor first rejects
+bad ids and self-loops and merges duplicate edges. The parser first checks
+the ids' range, and afterwards rejects any row with a repeated id, which a
+self-loop or a duplicate edge leaves. The generators write columns that
+hold the invariant by construction. No query checks it again.
 
 The graph is stored in CSR (compressed sparse rows) form, two flat
 ``array`` columns of signed 64-bit ints and nothing per vertex:
@@ -50,7 +52,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import chain, islice, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import add
 from types import MappingProxyType
 
@@ -65,13 +67,30 @@ ClassTable = Mapping[tuple[int, int], int]
 TYPECODE = "q"
 
 
-def _flatten(rows: Iterable[Iterable[int]]) -> tuple[array, array]:
-    """CSR columns of per-vertex neighbor rows, in one pass over ``rows``."""
-    offsets = array(TYPECODE, [0])
-    targets = array(TYPECODE)
-    for row in rows:
-        targets.extend(row)
-        offsets.append(len(targets))
+def _csr(vertex_count: int, ends: array) -> tuple[array, array]:
+    """CSR columns of the edges ``(ends[0], ends[1]), (ends[2], ends[3]), ...``.
+
+    Every id must be in ``[0, vertex_count)``. A counting sort: the offsets
+    come from the degrees at their exact size, then each edge goes into both
+    endpoints' rows, so a row lists its neighbors in the order of ``ends``.
+    A loop ``(u, u)`` or a repeated edge leaves a repeated id in a row.
+    """
+    # each vertex's degree, then the next free slot of its row, which
+    # starts at the row's offset
+    cursor = [0] * vertex_count
+    for v in ends:
+        cursor[v] += 1
+    cursor = list(accumulate(cursor, initial=0))
+    offsets = array(TYPECODE, cursor)
+    targets = array(TYPECODE, [0]) * len(ends)
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        i = cursor[u]
+        targets[i] = v
+        cursor[u] = i + 1
+        i = cursor[v]
+        targets[i] = u
+        cursor[v] = i + 1
     return offsets, targets
 
 
@@ -186,9 +205,16 @@ class Graph:
     __slots__ = ("_offsets", "_targets", "_classes")
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]] = ()):
+        """The graph on ``vertex_count`` vertices with these ``edges``.
+
+        Each edge is a pair of ids in ``[0, vertex_count)``, in either
+        orientation; an id out of range or a self-loop raises ``ValueError``.
+        Duplicate edges are merged, through a set of ``(lo, hi)`` pairs, so
+        rows list their neighbors in that set's order.
+        """
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
+        pairs: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(
@@ -196,9 +222,9 @@ class Graph:
                 )
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._offsets, self._targets = _flatten(adj)
+            pairs.add((u, v) if u < v else (v, u))
+        ends = array(TYPECODE, chain.from_iterable(pairs))
+        self._offsets, self._targets = _csr(vertex_count, ends)
         self._classes: Mapping[str, ClassTable] | None = None
 
     @classmethod

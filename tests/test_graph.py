@@ -296,7 +296,8 @@ def edge_lists(draw):
     n = draw(st.integers(1, 8))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     ids = st.integers(0, n - 1)
-    bad_ids = st.integers(-3, -1) | st.integers(n, 2 * n) | st.sampled_from([-(2**63), 2**63 - 1])
+    extremes = st.sampled_from([-(2**63), 2**63 - 1, 2**63])
+    bad_ids = st.integers(-3, -1) | st.integers(n, 2 * n) | extremes
     faults = st.one_of(
         st.tuples(ids, ids),
         ids.map(lambda u: (u, u)),
@@ -312,12 +313,15 @@ def edge_lists(draw):
 @given(edge_lists())
 def test_every_graph_built_is_simple(case):
     """Each builder either rejects the edges with ``ValueError`` or
-    returns a simple graph."""
+    returns a simple graph of exactly the input's distinct edges."""
     n, edges = case
     text = "".join(f"{u} {v}\n" for u, v in edges)
+    # read from the input, not from the CSR builder both paths share
+    distinct = {(u, v) if u < v else (v, u) for u, v in edges}
     for build in (lambda: Graph(n, edges), lambda: from_edge_list(text)):
         try:
             g = build()
         except ValueError:
             continue
         assert_simple(g)
+        assert set(g.edges()) == distinct
