@@ -34,13 +34,13 @@ from .graph import TYPECODE, Graph, _csr
 # CPython 3.11).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 63 MB resident, and `compute --index all` on it at 67 MB (three runs
+# 39 MB resident, and `compute --index all` on it at 42 MB (three runs
 # each); each further disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 109 MB resident; `generate`, which also holds the edge-list text, at
-# 321 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 318 MB
+# 70 MB resident; `generate`, which also holds the edge-list text, at
+# 282 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 272 MB
 # (three runs each).
 DW_MAX_N = 10**6
 
@@ -103,13 +103,13 @@ def hanoi(n: int) -> Graph:
     ``p``. It then maps every id ``u`` of copy ``p`` to ``3u+p`` with
     big-int lane arithmetic: each block of ``_LANE_BLOCK`` bytes, read as
     one integer in the native byte order of the array, becomes
-    ``block * 3 + pegs``, where ``pegs`` holds ``p`` in every 8-byte lane
+    ``block * 3 + pegs``, where ``pegs`` holds ``p`` in every 4-byte lane
     of copy ``p`` (a 9-lane period). Pads are 0, since a negative lane
     would borrow from the next, and every lane holds an id below
-    ``3**(k-1)``, so ``3u+p`` stays below ``3**k`` and no lane ever
-    carries into the next. Each padded corner slot of a copy is either
-    where a bridge lands or one of the three slots deleted at the end, so
-    a pad's value is never read.
+    ``3**(k-1)``, so ``3u+p`` stays below ``3**k <= 3**HANOI_MAX_N``, far
+    below ``2**31``, and no lane ever carries into the next. Each padded
+    corner slot of a copy is either where a bridge lands or one of the
+    three slots deleted at the end, so a pad's value is never read.
 
     Every vertex but the corners has degree 3, so the offsets are written
     directly, with no degree array: ``offsets[v]`` is ``3v`` minus the
@@ -164,8 +164,10 @@ _PEGS_INT = int.from_bytes(_PEGS, sys.byteorder)
 def _triple_and_shift(rows: array) -> None:
     """Map lane ``i`` of ``rows`` from ``u`` to ``3u + (i % 9) // 3``, in place.
 
-    Every lane must hold an id in ``[0, 3**HANOI_MAX_N)``, far below
-    ``2**63 // 3``, so ``3u + 2`` fits its lane and no lane carries.
+    Every lane must hold an id in ``[0, 3**(HANOI_MAX_N - 1))``, as every id
+    of a level below the top one does, so ``3u + 2`` is below
+    ``3**HANOI_MAX_N``, far below ``2**31``: it fits its signed 4-byte lane,
+    and no lane carries into the next.
     """
     order = sys.byteorder
     with memoryview(rows).cast("B") as raw:
@@ -214,20 +216,33 @@ def from_edge_list(text: str) -> Graph:
 
     One pass reads the lines, a chunk of text at a time so that no list of
     all of them is built, and appends each edge's two ids to one ``array``
-    of unsigned 8-byte ids; nothing is allocated per vertex while lines are
+    of unsigned 4-byte ids; nothing is allocated per vertex while lines are
     read. Then no id may be larger than the number of input lines, for a
     connected graph on ``V`` vertices needs at least ``V - 1`` edges. Only
     then are the CSR columns built, and the rows checked for a repeated id,
     which a self-loop or a duplicate edge (in either orientation) leaves.
 
-    Any fault, a line that is not two non-negative ids below ``2**64`` or
+    Any fault, a line that is not two non-negative ids below ``2**32`` or
     one that the largest-id or row check finds, sends the text to one more
-    read, :func:`_first_fault`, and the ``ValueError`` raised names the
-    first faulty line, whatever its fault. Last, :meth:`Graph.validate`
-    checks that the graph is non-empty and connected.
+    read, :func:`_first_fault`, once the columns built so far are freed,
+    and the ``ValueError`` raised names the first faulty line, whatever its
+    fault. Last, :meth:`Graph.validate` checks that the graph is non-empty
+    and connected.
     """
-    # unsigned, so that a negative id overflows its item as one of 2**64 does
-    ends = array("Q")
+    g = _read_edges(text)
+    if g is None:
+        raise ValueError(_first_fault(text))
+    problem = g.validate()
+    if problem is not None:
+        raise ValueError(problem)
+    return g
+
+
+def _read_edges(text: str) -> Graph | None:
+    """The graph of the edges of ``text``, or ``None`` at the first fault
+    that :func:`from_edge_list` describes."""
+    # unsigned, so that a negative id overflows its item as one of 2**32 does
+    ends = array("I")
     lineno = 0
     for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         try:
@@ -238,31 +253,28 @@ def from_edge_list(text: str) -> Graph:
             # the rare lines: blank, comment or faulty
             parts = raw.split()
             if parts and not parts[0].startswith("#"):
-                raise ValueError(_first_fault(text)) from None
+                return None
     top = max(ends, default=-1)
     if top > lineno:
-        raise ValueError(_first_fault(text))
+        return None
     g = Graph._from_csr(*_csr(top + 1, ends))
     del ends
     if sum(map(len, map(set, g._rows()))) != len(g._targets):
-        raise ValueError(_first_fault(text))
-    problem = g.validate()
-    if problem is not None:
-        raise ValueError(problem)
+        return None
     return g
 
 
 def _first_fault(text: str) -> str:
     """The error message for the first faulty line of ``text``.
 
-    The lines are read again in order, one edge set of ``(lo, hi)`` pairs
-    held, and each line's checks are made in this order: two fields,
-    integer ids, non-negative ids, no self-loop, no id larger than the
-    number of lines, not an edge seen on an earlier line. ``text`` must
-    hold a faulty line.
+    The lines are read again in order, one set of the edges seen held, each
+    edge ``(lo, hi)`` as the int ``lo * (line_count + 1) + hi``, and each
+    line's checks are made in this order: two fields, integer ids,
+    non-negative ids, no self-loop, no id larger than the number of lines,
+    not an edge seen on an earlier line. ``text`` must hold a faulty line.
     """
     line_count = sum(map(len, _line_chunks(text)))
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
@@ -276,16 +288,16 @@ def _first_fault(text: str) -> str:
             return f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
         if u == v:
             return f"line {lineno}: self-loop at vertex {u}"
-        edge = (u, v) if u < v else (v, u)
-        hi = edge[1]
+        lo, hi = (u, v) if u < v else (v, u)
         if hi > line_count:
             return (
                 f"line {lineno}: vertex id {hi} is larger than the number of input lines "
                 f"({line_count}), so the graph is disconnected: a connected graph on "
                 f"{hi + 1} vertices needs at least {hi} edges"
             )
+        edge = lo * (line_count + 1) + hi
         if edge in seen:
-            return f"line {lineno}: duplicate edge {edge}"
+            return f"line {lineno}: duplicate edge {(lo, hi)}"
         seen.add(edge)
     raise AssertionError("edge-list text without a faulty line")
 

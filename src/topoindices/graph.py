@@ -11,7 +11,9 @@ self-loop or a duplicate edge leaves. The generators write columns that
 hold the invariant by construction. No query checks it again.
 
 The graph is stored in CSR (compressed sparse rows) form, two flat
-``array`` columns of signed 64-bit ints and nothing per vertex:
+``array`` columns of signed 32-bit ints and nothing per vertex. Every id
+and offset the generator caps allow is below ``2**31``, and
+:func:`_csr` refuses a graph whose vertex count or slot count is not:
 
 * ``offsets``, ``vertex_count + 1`` entries: vertex ``v``'s neighbors are
   ``targets[offsets[v]:offsets[v + 1]]``, so its degree is
@@ -39,7 +41,7 @@ vertices; in a graph of scattered degrees it is nearly every vertex, and
 the count costs about what counting every slot would. Besides the two
 columns, the count holds a degree and a label id per vertex, one byte each
 while they fit in a byte: in ``hanoi(n)``, two bytes per vertex against the
-graph's 32.
+graph's 16.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -63,18 +65,28 @@ NEIGHBOR_SUM = "neighbor_sum"
 # (lo, hi) endpoint-label pair -> number of edges in that class
 ClassTable = Mapping[tuple[int, int], int]
 
-# Item type of both CSR columns, wide enough for any vertex id or offset.
-TYPECODE = "q"
+# Item type of both CSR columns: 4-byte signed ints, which hold every vertex
+# id and offset up to `_MAX_ITEM`.
+TYPECODE = "i"
+_MAX_ITEM = (1 << 8 * array(TYPECODE).itemsize - 1) - 1
 
 
-def _csr(vertex_count: int, ends: array) -> tuple[array, array]:
+def _csr(vertex_count: int, ends: Sequence[int]) -> tuple[array, array]:
     """CSR columns of the edges ``(ends[0], ends[1]), (ends[2], ends[3]), ...``.
 
     Every id must be in ``[0, vertex_count)``. A counting sort: the offsets
     come from the degrees at their exact size, then each edge goes into both
     endpoints' rows, so a row lists its neighbors in the order of ``ends``.
     A loop ``(u, u)`` or a repeated edge leaves a repeated id in a row.
+
+    Raises ``ValueError``, before allocating anything, when ``vertex_count``
+    or ``len(ends)``, the largest offset, does not fit a ``TYPECODE`` item.
     """
+    if vertex_count > _MAX_ITEM or len(ends) > _MAX_ITEM:
+        raise ValueError(
+            f"graph too large: {vertex_count} vertices and {len(ends)} edge ends, "
+            f"but the CSR columns hold at most {_MAX_ITEM} of each"
+        )
     # each vertex's degree, then the next free slot of its row, which
     # starts at the row's offset
     cursor = [0] * vertex_count
@@ -97,7 +109,7 @@ def _csr(vertex_count: int, ends: array) -> tuple[array, array]:
 # Vertex columns are scanned, and CSR columns sliced, this many items at a time.
 _BLOCK = 1 << 8
 
-# Bytes in one CSR item, the 8-byte lane of the lane arithmetic below.
+# Bytes in one CSR item, the 4-byte lane of the lane arithmetic below.
 _LANE = array(TYPECODE).itemsize
 # One in every lane of a block, and every bit above each lane's low byte,
 # as integers in the native byte order of the columns.
@@ -117,10 +129,11 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     A block of degrees comes out of one big-int subtraction: the block's
     slice of ``offsets`` shifted by one item, read as a single integer in
     the native byte order, minus the unshifted slice. Offsets never
-    decrease, so no 8-byte lane borrows from the next, and each lane of the
-    difference is one degree. A block whose lanes all equal its first
-    degree is counted with one comparison against that degree times
-    ``_ONES``; only the other blocks are fed to the ``Counter``.
+    decrease, so no 4-byte lane borrows from the next, and each lane of the
+    difference is one degree, at most the largest offset, which its
+    signed 4-byte item keeps below ``2**31``. A block whose lanes all equal
+    its first degree is counted with one comparison against that degree
+    times ``_ONES``; only the other blocks are fed to the ``Counter``.
 
     The column is a ``bytearray`` while every degree is below 256, and is
     widened once, at the first block that holds a larger one.
@@ -210,7 +223,8 @@ class Graph:
         Each edge is a pair of ids in ``[0, vertex_count)``, in either
         orientation; an id out of range or a self-loop raises ``ValueError``.
         Duplicate edges are merged, through a set of ``(lo, hi)`` pairs, so
-        rows list their neighbors in that set's order.
+        rows list their neighbors in that set's order. A graph too large for
+        the CSR columns, see :func:`_csr`, raises ``ValueError`` too.
         """
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
@@ -223,7 +237,9 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             pairs.add((u, v) if u < v else (v, u))
-        ends = array(TYPECODE, chain.from_iterable(pairs))
+        # a list, so that `_csr` checks the sizes before any id is stored
+        # in a TYPECODE item
+        ends = list(chain.from_iterable(pairs))
         self._offsets, self._targets = _csr(vertex_count, ends)
         self._classes: Mapping[str, ClassTable] | None = None
 
@@ -311,11 +327,11 @@ class Graph:
         widened once to a list when one does not: the degrees by
         :func:`_degree_column` at the first block with a degree of 256 or
         more, the ids, which T's labels are ranked straight into, when a
-        257th label appears. A list, not an ``array`` of 8-byte ints,
-        because it indexes about twice as fast for the same 8 bytes per
-        vertex: an id above 256 is the int ``rank`` holds, shared by every
-        vertex of its label, and a degree above 256 belongs to a row of at
-        least 257 slots, beside which its own int is small.
+        257th label appears. A list, not an ``array`` of ``TYPECODE`` ints,
+        because it indexes about twice as fast, at 8 bytes per vertex
+        against 4: an id above 256 is the int ``rank`` holds, shared by
+        every vertex of its label, and a degree above 256 belongs to a row
+        of at least 257 slots, beside which its own int is small.
 
         Rows outside T and S are never read, which the invariant of every
         ``Graph`` makes sound: ids are in range, rows are symmetric, and no

@@ -17,6 +17,7 @@ from topoindices import (
     closed_forms,
     double_wheel,
     from_edge_list,
+    graph,
 )
 from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
@@ -277,6 +278,19 @@ class TestEdgesInput:
         assert out == ""
         assert err.startswith("error: line 1: vertex id 100000 ")
         assert "disconnected" in err
+
+    def test_graph_too_large_for_its_columns_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a limit of 3 ids and offsets stands in for 2**31 - 1
+        monkeypatch.setattr(graph, "_MAX_ITEM", 3)
+        path = tmp_path / "path.txt"
+        path.write_text("0 1\n1 2\n2 3\n")
+        code, out, err = run(capsys, "compute", "--edges", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: graph too large: 4 vertices and 6 edge ends, "
+            "but the CSR columns hold at most 3 of each\n"
+        )
 
 
 class TestVerify:

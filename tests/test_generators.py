@@ -17,16 +17,23 @@ from conftest import (
 )
 from topoindices import (
     DW_MAX_N,
+    HANOI_MAX_N,
     Graph,
     double_wheel,
     from_edge_list,
+    generators,
     hanoi,
     to_edge_list,
 )
 from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
-from topoindices.generators import _LANE_BLOCK
+from topoindices.generators import _LANE_BLOCK, _first_fault
 from topoindices.graph import TYPECODE
+
+
+def column_digest(column: array) -> str:
+    """sha256 of a CSR column's items as 8-byte ints, whatever its item width."""
+    return hashlib.sha256(array("q", column).tobytes()).hexdigest()
 
 
 class TestDoubleWheel:
@@ -81,12 +88,12 @@ class TestDoubleWheel:
         assert peak < 100_000
 
     def test_row_order_pinned(self):
-        # the CSR columns of double_wheel(1000) byte for byte, rows in builder order
+        # the CSR columns of double_wheel(1000) item for item, rows in builder order
         g = double_wheel(1000)
-        assert hashlib.sha256(g._offsets.tobytes()).hexdigest() == (
+        assert column_digest(g._offsets) == (
             "d0dcb9e208dde5bb2fb63863b45da188b9471824f3de7692ac7fe1b585038f0f"
         )
-        assert hashlib.sha256(g._targets.tobytes()).hexdigest() == (
+        assert column_digest(g._targets) == (
             "8aa93644066f419a9a74d9d95af7934b45951a65cc121725604ad54aebf12372"
         )
 
@@ -172,13 +179,22 @@ class TestHanoiLanes:
             assert level_bytes % _LANE_BLOCK != 0
         assert hanoi(n) == reference_hanoi(n)
 
+    def test_lanes_have_headroom_at_the_caps(self):
+        # every id and offset of hanoi(HANOI_MAX_N) is below 3**(HANOI_MAX_N + 1),
+        # and of double_wheel(DW_MAX_N) at most 8 * DW_MAX_N; below the sign
+        # bit, no lane of `_triple_and_shift` or `_degree_column` carries
+        # into or borrows from the next
+        limit = 2 ** (8 * array(TYPECODE).itemsize - 1)
+        assert 3 ** (HANOI_MAX_N + 1) < limit
+        assert 8 * DW_MAX_N + 1 < limit
+
     def test_row_order_pinned(self):
-        # the CSR columns of hanoi(11) byte for byte, rows in builder order
+        # the CSR columns of hanoi(11) item for item, rows in builder order
         g = hanoi(11)
-        assert hashlib.sha256(g._offsets.tobytes()).hexdigest() == (
+        assert column_digest(g._offsets) == (
             "7a54c07b8e30c13ac7aee0a817865b35d6e58c4e79857d048ff5b248b5c7419d"
         )
-        assert hashlib.sha256(g._targets.tobytes()).hexdigest() == (
+        assert column_digest(g._targets) == (
             "279e1a566c16d6561644e64d835752b74fc12d7ebb5ae910914d4fefb8bde3b4"
         )
 
@@ -195,7 +211,7 @@ def retained_and_peak_bytes(build, arg):
 
 
 class TestMemoryLayout:
-    """Flat CSR arrays: a few 8-byte slots per vertex, not a set per vertex
+    """Flat CSR arrays: a few 4-byte slots per vertex, not a set per vertex
     (a tuple of frozensets kept about 320 B per vertex of hanoi(10))."""
 
     @pytest.fixture(scope="class")
@@ -203,13 +219,15 @@ class TestMemoryLayout:
         return retained_and_peak_bytes(hanoi, 10)
 
     def test_retained_bytes_per_vertex(self, hanoi10):
+        # measured 16.0, 20.1 and 20.0 with 4-byte items, twice that with
+        # 8-byte ones
         built = [
             hanoi10,
             retained_and_peak_bytes(double_wheel, 20000),
             retained_and_peak_bytes(from_edge_list, to_edge_list(double_wheel(20000))),
         ]
         for g, retained, _ in built:
-            assert retained / g.vertex_count < 64
+            assert retained / g.vertex_count <= 24
 
     def test_hanoi_build_peak(self, hanoi10):
         _, _, peak = hanoi10
@@ -241,10 +259,12 @@ class TestMemoryLayout:
         assert peak <= 1.05 * before
 
     def test_hanoi_build_and_classes_keep_near_the_graph(self):
-        # hanoi(12) keeps 17,006,336 B. Its build peaked at 1.25x that while
-        # the old level, a degree array and the offsets accumulated from it
-        # were held next to the targets, and edge_classes at 1.52x while it
-        # held lists of degrees and ids; measured now, 1.008x and 1.064x
+        # hanoi(12) kept 17,006,336 B with 8-byte items. Its build peaked at
+        # 1.25x that while the old level, a degree array and the offsets
+        # accumulated from it were held next to the targets, and edge_classes
+        # at 1.52x while it held lists of degrees and ids. With 4-byte items
+        # it keeps 8,503,276 B; the build peaks at 1.008x, and edge_classes
+        # holds 2.03 B per vertex above the graph, its two byte columns
         tracemalloc.start()
         try:
             g = hanoi(12)
@@ -255,7 +275,7 @@ class TestMemoryLayout:
         finally:
             tracemalloc.stop()
         assert build_peak <= 1.1 * retained
-        assert classes_peak <= 1.1 * retained
+        assert classes_peak - retained <= 2.2 * g.vertex_count
 
 
 class TestEdgeListMemory:
@@ -269,6 +289,41 @@ class TestEdgeListMemory:
         # flattened them; 1,317,558 B with one flat column of endpoint ids
         _, _, peak = retained_and_peak_bytes(from_edge_list, to_edge_list(double_wheel(5000)))
         assert peak <= 1.1 * 1_317_558
+
+    def test_fault_reread_peak(self):
+        # a fault on the last line: 15,809,876 B while the built graph was
+        # held during the re-read and its edge set held a (lo, hi) tuple per
+        # edge, 9,163,316 B with neither
+        text = to_edge_list(double_wheel(20000)) + "1 0\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^line 80001: duplicate edge \\(0, 1\\)$"):
+                from_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 9_163_316
+
+    @pytest.mark.parametrize("fault", ["1 0\n", "1 x\n", "0 99999\n"])
+    def test_fault_reread_holds_no_column(self, monkeypatch, fault):
+        # each fault path of the first read, the row check, a faulty line
+        # and the largest id, frees its columns before the text is read again
+        text = to_edge_list(double_wheel(5000)) + fault
+        held = []
+
+        def first_fault(text):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return _first_fault(text)
+
+        monkeypatch.setattr(generators, "_first_fault", first_fault)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^line 20001: "):
+                from_edge_list(text)
+        finally:
+            tracemalloc.stop()
+        # the graph's columns alone take 200 kB
+        assert held[0] < 20_000
 
     def test_write_peak(self):
         _, _, peak = retained_and_peak_bytes(to_edge_list, double_wheel(20000))
@@ -497,6 +552,23 @@ class TestFromEdgeList:
                 "line 2: vertex id 9223372036854775807 is larger than the number of input "
                 "lines (2), so the graph is disconnected: a connected graph on "
                 "9223372036854775808 vertices needs at least 9223372036854775807 edges",
+            ),
+            # ids that overflow a 4-byte item
+            (
+                "0 1\n1 -2147483649\n",
+                "line 2: vertex ids must be non-negative, got '1 -2147483649'",
+            ),
+            (
+                "0 1\n1 2147483648\n",
+                "line 2: vertex id 2147483648 is larger than the number of input lines (2), so "
+                "the graph is disconnected: a connected graph on 2147483649 vertices needs at "
+                "least 2147483648 edges",
+            ),
+            (
+                "0 1\n4294967296 1\n",
+                "line 2: vertex id 4294967296 is larger than the number of input lines (2), so "
+                "the graph is disconnected: a connected graph on 4294967297 vertices needs at "
+                "least 4294967296 edges",
             ),
             # ids that overflow an 8-byte item
             (

@@ -1,3 +1,4 @@
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_edge_classes
-from topoindices import Graph, double_wheel, from_edge_list, hanoi
+from topoindices import Graph, double_wheel, from_edge_list, graph, hanoi
 from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _degree_column
 
 
@@ -64,6 +65,32 @@ class TestConstruction:
         with pytest.raises(ValueError) as info:
             Graph(2, edges)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "vertex_count, edges", [(2**31, []), (2**32, [(0, 2**31)]), (2**40, [(2**40 - 1, 0)])]
+    )
+    def test_rejects_a_graph_too_large_for_its_columns_before_allocating(
+        self, vertex_count, edges
+    ):
+        # a list of 2**31 degrees alone would take 16 GiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^graph too large: {vertex_count} vertices"):
+                Graph(vertex_count, edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_largest_vertex_count_that_fits_is_the_limit(self, monkeypatch):
+        monkeypatch.setattr(graph, "_MAX_ITEM", 4)
+        assert Graph(4, [(0, 1), (1, 2)]).vertex_count == 4
+        with pytest.raises(ValueError, match="^graph too large: 5 vertices and 4 edge ends"):
+            Graph(5, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="^graph too large: 4 vertices and 6 edge ends"):
+            Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="^graph too large: 5 vertices"):
+            from_edge_list("0 1\n1 2\n2 3\n3 4\n")
 
     def test_adjacency_is_built_from_the_rows(self):
         # rows taken over as written, the first one unsorted
@@ -296,7 +323,7 @@ def edge_lists(draw):
     n = draw(st.integers(1, 8))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     ids = st.integers(0, n - 1)
-    extremes = st.sampled_from([-(2**63), 2**63 - 1, 2**63])
+    extremes = st.sampled_from([-(2**63), -(2**31) - 1, 2**31, 2**32, 2**63 - 1, 2**63])
     bad_ids = st.integers(-3, -1) | st.integers(n, 2 * n) | extremes
     faults = st.one_of(
         st.tuples(ids, ids),
