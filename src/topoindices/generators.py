@@ -21,13 +21,14 @@ peg ``p``.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from array import array
-from collections.abc import Iterator
+from collections.abc import Container, Iterator
 from itertools import chain, pairwise
 
-from .graph import TYPECODE, Graph, _csr
+from .graph import TYPECODE, Graph, _connectivity_problem, _csr, _walk
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks measured with getrusage on a 64-bit Linux build of
@@ -40,8 +41,8 @@ HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
 # 70 MB resident; `generate`, which also holds the edge-list text, at
-# 282 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 272 MB
-# (three runs each).
+# 282 MB (three runs each); `compute --edges` on the 48.7 MB file `generate`
+# writes, at 207 MB, with a duplicate edge appended or not (two runs each).
 DW_MAX_N = 10**6
 
 
@@ -182,69 +183,77 @@ def _triple_and_shift(rows: array) -> None:
             raw[start:end] = block.to_bytes(end - start, order)
 
 
-# Characters of edge-list text split into lines at a time, so that no list
-# of every line is held: about 5000 lines, a few hundred kB of str objects.
+# Characters of edge-list text read at a time, so that no list of every
+# line is held: about 5000 lines, a few hundred kB of str or int objects.
 _READ_CHUNK = 1 << 16
 
 # A line boundary of `str.splitlines`, with "\r\n" matched whole; compiled on
 # first use, so a process that reads no edge list never compiles it.
 _LINE_BREAK = "\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
 
+# The characters of a plain chunk, and a line of one with a third field.
+# Both are flat, so that matching holds no state per line; a nested group
+# such as "(?:[0-9]+ [0-9]+\n)*" keeps one on the regex engine's stack.
+_PLAIN = "[0-9 \n]*"
+_THIRD_FIELD = " [0-9]+ "
 
-def _line_chunks(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()`` in consecutive pieces, one chunk of text at a time.
+
+def _line_chunks(text: str) -> Iterator[str]:
+    """``text`` in consecutive chunks of whole lines.
 
     Each chunk but the last ends just after the first line boundary at
     least ``_READ_CHUNK`` characters past its start, whatever the kind of
-    boundary; ``"\\r\\n"`` stays whole, so the pieces join to the same lines.
+    boundary; ``"\\r\\n"`` stays whole, so the chunks' ``splitlines()`` join
+    to the lines of ``text.splitlines()``.
     """
     line_break = re.compile(_LINE_BREAK)
     start = 0
     while start < len(text):
         cut = line_break.search(text, start + _READ_CHUNK)
         end = cut.end() if cut else len(text)
-        yield text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
-def from_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a validated, connected :class:`Graph`.
+def _read_plain(chunk: str, ends: array) -> int | None:
+    """Append the ids of a plain ``chunk`` to ``ends`` in one JSON decode,
+    and return its number of lines; ``None``, with ``ends`` as it was, if
+    ``chunk`` is not plain.
 
-    Format: one edge per line as two whitespace-separated 0-based vertex
-    ids; lines starting with ``#`` and blank lines are ignored; the vertex
-    count is the largest id plus one. Lines break as in ``str.splitlines``.
-
-    One pass reads the lines, a chunk of text at a time so that no list of
-    all of them is built, and appends each edge's two ids to one ``array``
-    of unsigned 4-byte ids; nothing is allocated per vertex while lines are
-    read. Then no id may be larger than the number of input lines, for a
-    connected graph on ``V`` vertices needs at least ``V - 1`` edges. Only
-    then are the CSR columns built, and the rows checked for a repeated id,
-    which a self-loop or a duplicate edge (in either orientation) leaves.
-
-    Any fault, a line that is not two non-negative ids below ``2**32`` or
-    one that the largest-id or row check finds, sends the text to one more
-    read, :func:`_first_fault`, once the columns built so far are freed,
-    and the ``ValueError`` raised names the first faulty line, whatever its
-    fault. Last, :meth:`Graph.validate` checks that the graph is non-empty
-    and connected.
+    A chunk is plain when every line of it is two ASCII decimal ids with no
+    leading zero, one space apart, ending in ``"\\n"``. Its lines then read
+    as one JSON array once each space and line break is a comma, and JSON's
+    integers are the ints ``int()`` reads from them. A chunk is not plain if
+    it holds any other character, a line with a third field or a last line
+    without ``"\\n"``. Nor is it when the decode fails, as an empty field (a
+    blank line, two spaces), a leading zero or an id over ``int``'s digit
+    limit makes it, or when it gives fewer than two ids a line, as a line of
+    one field does, or when an id overflows ``ends``.
     """
-    g = _read_edges(text)
-    if g is None:
-        raise ValueError(_first_fault(text))
-    problem = g.validate()
-    if problem is not None:
-        raise ValueError(problem)
-    return g
+    if not chunk.endswith("\n") or not re.fullmatch(_PLAIN, chunk) or re.search(_THIRD_FIELD, chunk):
+        return None
+    try:
+        ids = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    lines = chunk.count("\n")
+    if len(ids) != 2 * lines:
+        return None
+    size = len(ends)
+    try:
+        ends.extend(ids)
+    except OverflowError:
+        del ends[size:]
+        return None
+    return lines
 
 
-def _read_edges(text: str) -> Graph | None:
-    """The graph of the edges of ``text``, or ``None`` at the first fault
-    that :func:`from_edge_list` describes."""
-    # unsigned, so that a negative id overflows its item as one of 2**32 does
-    ends = array("I")
-    lineno = 0
-    for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
+def _read_lines(chunk: str, ends: array) -> int | None:
+    """Append the two ids of each edge of ``chunk`` to ``ends``, line by line,
+    and return its number of lines; ``None`` at the first line that is not
+    an edge, a comment or blank."""
+    lines = chunk.splitlines()
+    for raw in lines:
         try:
             a, b = raw.split()
             ends.append(int(a))
@@ -254,17 +263,69 @@ def _read_edges(text: str) -> Graph | None:
             parts = raw.split()
             if parts and not parts[0].startswith("#"):
                 return None
-    top = max(ends, default=-1)
-    if top > lineno:
-        return None
-    g = Graph._from_csr(*_csr(top + 1, ends))
-    del ends
-    if sum(map(len, map(set, g._rows()))) != len(g._targets):
-        return None
+    return len(lines)
+
+
+def from_edge_list(text: str) -> Graph:
+    """Parse edge-list text into a validated, connected :class:`Graph`.
+
+    Format: one edge per line as two whitespace-separated 0-based vertex
+    ids; lines starting with ``#`` and blank lines are ignored; the vertex
+    count is the largest id plus one. Lines break as in ``str.splitlines``.
+
+    One pass reads the text a chunk at a time, so that no list of all its
+    lines is built, and appends each edge's two ids to one ``array`` of
+    unsigned 4-byte ids; nothing is allocated per vertex while lines are
+    read. A plain chunk, every line two ids and one space, is read in one
+    JSON decode (:func:`_read_plain`), any other chunk line by line
+    (:func:`_read_lines`). Then no id may be larger than the number of input
+    lines, for a connected graph on ``V`` vertices needs at least ``V - 1``
+    edges. Only then are the CSR columns built, and walked once,
+    :func:`~topoindices.graph._walk`: the walk names the rows that list an
+    id twice, which a self-loop or a duplicate edge (in either orientation)
+    leaves, and counts the vertices connected to vertex 0.
+
+    Any fault, a line that is not two non-negative ids below ``2**32`` or
+    one that the largest-id check or the walk finds, sends the text to one
+    more read, :func:`_first_fault`, once the columns built so far are
+    freed, and the ``ValueError`` raised names the first faulty line,
+    whatever its fault. Last, the graph must be non-empty and connected, as
+    :meth:`Graph.validate` checks.
+    """
+    columns = _read_edges(text)
+    if columns is None:
+        raise ValueError(_first_fault(text))
+    reached, repeats = _walk(*columns)
+    if repeats:
+        del columns
+        raise ValueError(_first_fault(text, repeats))
+    g = Graph._from_csr(*columns)
+    problem = _connectivity_problem(g.vertex_count, reached)
+    if problem is not None:
+        raise ValueError(problem)
     return g
 
 
-def _first_fault(text: str) -> str:
+def _read_edges(text: str) -> tuple[array, array] | None:
+    """The CSR columns of the edges of ``text``, or ``None`` at the first
+    faulty line or an id larger than the number of lines."""
+    # unsigned, so that a negative id overflows its item as one of 2**32 does
+    ends = array("I")
+    line_count = 0
+    for chunk in _line_chunks(text):
+        lines = _read_plain(chunk, ends)
+        if lines is None:
+            lines = _read_lines(chunk, ends)
+            if lines is None:
+                return None
+        line_count += lines
+    top = max(ends, default=-1)
+    if top > line_count:
+        return None
+    return _csr(top + 1, ends)
+
+
+def _first_fault(text: str, flagged: Container[int] | None = None) -> str:
     """The error message for the first faulty line of ``text``.
 
     The lines are read again in order, one set of the edges seen held, each
@@ -272,10 +333,16 @@ def _first_fault(text: str) -> str:
     line's checks are made in this order: two fields, integer ids,
     non-negative ids, no self-loop, no id larger than the number of lines,
     not an edge seen on an earlier line. ``text`` must hold a faulty line.
+
+    ``flagged``, when given, holds the rows that list an id twice, from a
+    first read that found no other fault. A duplicate edge lists each of
+    its ends twice in the other's row, so only the edges with both ends
+    flagged are held and looked up; a self-loop is found by its line.
     """
-    line_count = sum(map(len, _line_chunks(text)))
+    line_count = sum(len(chunk.splitlines()) for chunk in _line_chunks(text))
     seen: set[int] = set()
-    for lineno, raw in enumerate(chain.from_iterable(_line_chunks(text)), start=1):
+    lines = chain.from_iterable(map(str.splitlines, _line_chunks(text)))
+    for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -295,6 +362,8 @@ def _first_fault(text: str) -> str:
                 f"({line_count}), so the graph is disconnected: a connected graph on "
                 f"{hi + 1} vertices needs at least {hi} edges"
             )
+        if flagged is not None and not (lo in flagged and hi in flagged):
+            continue
         edge = lo * (line_count + 1) + hi
         if edge in seen:
             return f"line {lineno}: duplicate edge {(lo, hi)}"

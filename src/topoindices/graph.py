@@ -6,9 +6,12 @@ their own numbering. Every ``Graph`` is simple, with every neighbor id in
 constructor and :func:`~topoindices.from_edge_list` both hand one flat
 column of endpoint ids to one CSR builder. The constructor first rejects
 bad ids and self-loops and merges duplicate edges. The parser first checks
-the ids' range, and afterwards rejects any row with a repeated id, which a
-self-loop or a duplicate edge leaves. The generators write columns that
-hold the invariant by construction. No query checks it again.
+the ids' range, and afterwards walks the columns with :func:`_walk`, which
+names the rows that list an id twice, as a self-loop or a duplicate edge
+leaves them; it rejects the text if there is one. The generators write
+columns that hold the invariant by construction. No query checks it
+again, and :meth:`Graph.validate` uses the same walk only to check that a
+graph is connected.
 
 The graph is stored in CSR (compressed sparse rows) form, two flat
 ``array`` columns of signed 32-bit ints and nothing per vertex. Every id
@@ -104,6 +107,65 @@ def _csr(vertex_count: int, ends: Sequence[int]) -> tuple[array, array]:
         targets[i] = u
         cursor[v] = i + 1
     return offsets, targets
+
+
+def _walk(offsets: array, targets: array) -> tuple[int, set[int]]:
+    """Walk every component of the CSR columns, vertex 0's first.
+
+    Returns the number of vertices in vertex 0's component, 0 when there are
+    none, and the set of rows that list some id twice, as a self-loop or a
+    repeated edge leaves them. Every id must be in ``[0, vertex_count)``.
+
+    One stamp per vertex: ``last[u]`` is the row that last listed ``u``, or
+    -1 while no row has. Each row is read once, when the walk reaches its
+    vertex, so a row that meets its own stamp lists that id a second time,
+    and an id that meets -1 is reached for the first time. A component's
+    first vertex is stamped with its own id, which only a row that lists
+    itself can meet. Once vertex 0's component is walked, the next vertex
+    still at -1 starts the next component, until none is left.
+
+    ``last`` is a list, not an ``array``, because CPython specializes list
+    indexing: the walk takes about half the time. It holds 8 bytes per vertex
+    in ``last``, 8 per vertex of the component being walked, and an int per
+    vertex reached, which a stamp keeps.
+    """
+    vertex_count = len(offsets) - 1
+    last = [-1] * vertex_count
+    repeats: set[int] = set()
+    reached = 0
+    start = 0
+    while start < vertex_count:
+        last[start] = start
+        # every vertex of the component, in the order the walk reaches it
+        component = [start]
+        for v in component:
+            for u in targets[offsets[v] : offsets[v + 1]]:
+                stamp = last[u]
+                if stamp < 0:
+                    component.append(u)
+                elif stamp == v:
+                    repeats.add(v)
+                last[u] = v
+        if start == 0:
+            reached = len(component)
+        try:
+            start = last.index(-1, start + 1)
+        except ValueError:
+            break
+    return reached, repeats
+
+
+def _connectivity_problem(vertex_count: int, reached: int) -> str | None:
+    """Why a graph of ``vertex_count`` vertices, ``reached`` of them in vertex
+    0's component, is not non-empty and connected; ``None`` if it is."""
+    if vertex_count == 0:
+        return "graph has no vertices"
+    if reached != vertex_count:
+        return (
+            f"graph is disconnected: {reached} of {vertex_count} vertices "
+            "reachable from vertex 0"
+        )
+    return None
 
 
 # Vertex columns are scanned, and CSR columns sliced, this many items at a time.
@@ -414,30 +476,13 @@ class Graph:
         return len(self._targets) // 2
 
     def validate(self) -> str | None:
-        """Return ``None`` if the graph is non-empty and connected, else why not."""
-        offsets, targets = self._offsets, self._targets
-        n = self.vertex_count
-        if n == 0:
-            return "graph has no vertices"
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = 1
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in targets[offsets[v] : offsets[v + 1]]:
-                    if not seen[u]:
-                        seen[u] = 1
-                        nxt.append(u)
-            reached += len(nxt)
-            frontier = nxt
-        if reached != n:
-            return (
-                f"graph is disconnected: {reached} of {n} vertices "
-                "reachable from vertex 0"
-            )
-        return None
+        """Return ``None`` if the graph is non-empty and connected, else why not.
+
+        Connectivity is read from one :func:`_walk` of the columns, the
+        walk the edge-list parser makes to find repeated ids.
+        """
+        reached, _ = _walk(self._offsets, self._targets)
+        return _connectivity_problem(self.vertex_count, reached)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):

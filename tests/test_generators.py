@@ -27,7 +27,7 @@ from topoindices import (
 )
 from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
-from topoindices.generators import _LANE_BLOCK, _first_fault
+from topoindices.generators import _LANE_BLOCK, _READ_CHUNK, _first_fault, _read_lines
 from topoindices.graph import TYPECODE
 
 
@@ -304,16 +304,38 @@ class TestEdgeListMemory:
             tracemalloc.stop()
         assert peak <= 1.1 * 9_163_316
 
+    def test_walk_fault_reread_tracks_flagged_rows(self, monkeypatch):
+        # the walk flags rows 0 and 1 alone, so the re-read holds no edge
+        # but (0, 1): the peak is the first read's, 3,140,945 B, where a
+        # re-read holding every edge peaked at 9,163,316 B
+        text = to_edge_list(double_wheel(20000)) + "1 0\n"
+        flagged = []
+
+        def first_fault(text, *rows):
+            flagged.append(rows)
+            return _first_fault(text, *rows)
+
+        monkeypatch.setattr(generators, "_first_fault", first_fault)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^line 80001: duplicate edge \\(0, 1\\)$"):
+                from_edge_list(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert flagged == [({0, 1},)]
+        assert peak <= 1.1 * 3_140_945
+
     @pytest.mark.parametrize("fault", ["1 0\n", "1 x\n", "0 99999\n"])
     def test_fault_reread_holds_no_column(self, monkeypatch, fault):
-        # each fault path of the first read, the row check, a faulty line
-        # and the largest id, frees its columns before the text is read again
+        # each fault path of the first read, the walk, a faulty line and
+        # the largest id, frees its columns before the text is read again
         text = to_edge_list(double_wheel(5000)) + fault
         held = []
 
-        def first_fault(text):
+        def first_fault(text, *flagged):
             held.append(tracemalloc.get_traced_memory()[0])
-            return _first_fault(text)
+            return _first_fault(text, *flagged)
 
         monkeypatch.setattr(generators, "_first_fault", first_fault)
         tracemalloc.start()
@@ -435,6 +457,21 @@ class TestEdgeListBytes:
         assert_same_outcome(f"{first}\n{v} {u}\n{shuffled}{last}\n")
         assert_same_outcome(f"{shuffled}{last}\n")
 
+    @pytest.mark.parametrize("where", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["comment", "blank", "crlf", "fault"])
+    def test_line_in_first_middle_or_last_chunk(self, shuffled, where, kind):
+        # a chunk that holds such a line is read line by line, the others in
+        # one decode each; the outcome is the reference's wherever it falls
+        lines = shuffled.splitlines(keepends=True)
+        i = round(where * (len(lines) - 1))
+        if kind == "crlf":
+            lines[i] = lines[i].replace("\n", "\r\n")
+        else:
+            lines.insert(i, {"comment": "# comment\n", "blank": "\n", "fault": "0 x\n"}[kind])
+        text = "".join(lines)
+        assert len(text) > 8 * _READ_CHUNK
+        assert_same_outcome(text)
+
 
 def assert_same_outcome(text):
     """``from_edge_list`` returns the set-based reference's graph, or raises
@@ -447,6 +484,25 @@ def assert_same_outcome(text):
         assert str(info.value) == str(error)
     else:
         assert from_edge_list(text) == expected
+
+
+# Ids and lines that JSON, int() and str.split() could read apart: a plain
+# chunk is decoded as JSON, any other read line by line.
+JSON_LOOKALIKE_IDS = [
+    "01", "+1", "-0", "1_0", "\u0663", "1e3", "1.0", "[1]", "true", "NaN", "9" * 5000,
+]
+ODDLY_SPACED_LINES = ["1 2 ", " 1 2", "1  2", "1\t2", "1 \r2"]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [f"1 {token}" for token in JSON_LOOKALIKE_IDS]
+    + [f"{token} 1" for token in JSON_LOOKALIKE_IDS]
+    + ODDLY_SPACED_LINES,
+)
+def test_json_lookalikes_read_as_int_reads_them(line):
+    # each text but for `line` is one plain chunk
+    assert_same_outcome(f"0 1\n{line}\n1 2\n")
 
 
 @st.composite
@@ -467,6 +523,8 @@ def edge_list_texts(draw):
         st.tuples(ids, ids, ids).map(" ".join),
         st.tuples(ids, st.integers(n, 4 * n).map(str)).map(" ".join),
         st.just("0 9223372036854775808"),
+        st.tuples(ids, st.sampled_from(JSON_LOOKALIKE_IDS)).map(" ".join),
+        st.sampled_from(ODDLY_SPACED_LINES),
         st.sampled_from(["# comment", "#0 1", "", "   ", "\t"]),
     )
     for fault in draw(st.lists(faults, max_size=3)):
@@ -527,8 +585,18 @@ class TestFromEdgeList:
             ("# c\n\t-1 0\n", "line 2: vertex ids must be non-negative, got '-1 0'"),
             ("0 1\n1 1\n", "line 2: self-loop at vertex 1"),
             ("0 1\n2 1\n\n0 2\n2 0\n", "line 5: duplicate edge (0, 2)"),
+            # lines of three fields and of one balance each other's count
+            ("0 1 2\n1\n", "line 1: expected two vertex ids, got '0 1 2'"),
+            ("0 1\n2\n", "line 2: expected two vertex ids, got '2'"),
+            # faults in a component without vertex 0, which the walk reaches last
+            ("0 1\n2 3\n3 4\n4 2\n3 2\n", "line 5: duplicate edge (2, 3)"),
+            ("0 1\n2 3\n3 3\n", "line 3: self-loop at vertex 3"),
             ("0 1\n2 3\n# pad\n", "graph is disconnected: 2 of 4 vertices reachable from vertex 0"),
             ("0 2\n# pad\n", "graph is disconnected: 2 of 3 vertices reachable from vertex 0"),
+            (
+                "0 1\n2 3\n3 4\n4 2\n# pad\n",
+                "graph is disconnected: 2 of 5 vertices reachable from vertex 0",
+            ),
             (
                 "0 1\n1 3\n",
                 "line 2: vertex id 3 is larger than the number of input lines (2), so the graph "
@@ -609,3 +677,36 @@ class TestFromEdgeList:
         g = from_edge_list("".join(f"{i} {i + 1}\n" for i in range(50)))
         assert g.vertex_count == 51
         assert g.edge_count() == 50
+
+
+class TestPlainChunks:
+    """Plain chunks, every line two ids and one space, are read in one JSON
+    decode; only the other chunks go through the per-line loop."""
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_generated_text_never_reads_line_by_line(self, monkeypatch, shuffle):
+        def read_lines(chunk, ends):
+            raise AssertionError("a plain chunk was read line by line")
+
+        text = to_edge_list(double_wheel(5000))
+        if shuffle:
+            # lines in another order, each edge in either orientation
+            text = shuffled_edge_list(text, seed=5)
+        monkeypatch.setattr(generators, "_read_lines", read_lines)
+        assert from_edge_list(text) == double_wheel(5000)
+
+    def test_comment_sends_its_chunk_alone_line_by_line(self, monkeypatch):
+        lines = to_edge_list(double_wheel(5000)).splitlines(keepends=True)
+        lines.insert(len(lines) // 2, "# a comment\n")
+        text = "".join(lines)
+        assert len(text) > 2 * _READ_CHUNK
+        chunks = []
+
+        def read_lines(chunk, ends):
+            chunks.append(chunk)
+            return _read_lines(chunk, ends)
+
+        monkeypatch.setattr(generators, "_read_lines", read_lines)
+        assert from_edge_list(text) == double_wheel(5000)
+        assert len(chunks) == 1
+        assert "# a comment\n" in chunks[0]

@@ -197,6 +197,47 @@ class TestValidate:
         two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert "disconnected" in two_triangles.validate()
 
+    @pytest.mark.parametrize(
+        "g, problem",
+        [
+            (Graph(0), "graph has no vertices"),
+            (Graph(1), None),
+            (
+                Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                "graph is disconnected: 3 of 6 vertices reachable from vertex 0",
+            ),
+            # vertex 0's component is the smaller one
+            (
+                Graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+                "graph is disconnected: 2 of 5 vertices reachable from vertex 0",
+            ),
+        ],
+    )
+    def test_messages(self, g, problem):
+        assert g.validate() == problem
+
+
+class TestWalk:
+    """One walk over every component finds the rows that repeat an id and
+    the size of vertex 0's component."""
+
+    @pytest.mark.parametrize(
+        "vertex_count, ends, reached, repeats",
+        [
+            (0, [], 0, set()),
+            (1, [], 1, set()),
+            (3, [0, 1, 1, 2, 2, 0], 3, set()),
+            # a repeated edge in a component without vertex 0
+            (5, [0, 1, 2, 3, 3, 4, 4, 2, 3, 2], 2, {2, 3}),
+            # a loop lists its vertex twice in its own row, vertex 0's too
+            (3, [0, 0, 1, 2, 2, 2], 1, {0, 2}),
+            # a repeated edge repeats an id in both of its endpoints' rows
+            (4, [0, 1, 1, 2, 2, 3, 3, 2], 4, {2, 3}),
+        ],
+    )
+    def test_walk(self, vertex_count, ends, reached, repeats):
+        assert graph._walk(*graph._csr(vertex_count, ends)) == (reached, repeats)
+
 
 class TestEdgeClasses:
     """The classifier walks only the rows near a vertex of another degree
