@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .closed_forms import FAMILIES, Variant, closed_form, get_family
-from .generators import from_edge_list, to_edge_list
+from .generators import _edge_list_pieces, from_edge_list
 from .graph import Graph
 from .indices import IndexKind, compute_index
 from .partition import (
@@ -73,11 +74,14 @@ def _render_csv(columns: tuple[str, ...], records: list[dict]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a string or its pieces in order, to ``out`` or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            file.writelines(pieces)
 
 
 def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, int | None]:
@@ -102,7 +106,7 @@ def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, in
 
 def cmd_generate(args: argparse.Namespace) -> int:
     g = get_family(args.family).build(args.n)
-    _write_output(to_edge_list(g), args.out)
+    _write_output(_edge_list_pieces(g), args.out)
     return EXIT_OK
 
 

@@ -25,10 +25,11 @@ import json
 import re
 import sys
 from array import array
+from bisect import bisect_right
 from collections.abc import Container, Iterator
 from itertools import chain, pairwise
 
-from .graph import TYPECODE, Graph, _connectivity_problem, _csr, _walk
+from .graph import TYPECODE, Graph, _as_run, _connectivity_problem, _csr, _walk
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks measured with getrusage on a 64-bit Linux build of
@@ -40,9 +41,9 @@ from .graph import TYPECODE, Graph, _connectivity_problem, _csr, _walk
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 70 MB resident; `generate`, which also holds the edge-list text, at
-# 282 MB (three runs each); `compute --edges` on the 48.7 MB file `generate`
-# writes, at 207 MB, with a duplicate edge appended or not (two runs each).
+# 67 MB resident; `generate`, which writes the edge-list text in pieces, at
+# 61 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 207 MB,
+# with a duplicate edge appended or not (two runs each).
 DW_MAX_N = 10**6
 
 
@@ -292,13 +293,13 @@ def from_edge_list(text: str) -> Graph:
     whatever its fault. Last, the graph must be non-empty and connected, as
     :meth:`Graph.validate` checks.
     """
-    columns = _read_edges(text)
+    columns, line_count = _read_edges(text)
     if columns is None:
-        raise ValueError(_first_fault(text))
+        raise ValueError(_first_fault(text, line_count))
     reached, repeats = _walk(*columns)
     if repeats:
         del columns
-        raise ValueError(_first_fault(text, repeats))
+        raise ValueError(_first_fault(text, line_count, repeats))
     g = Graph._from_csr(*columns)
     problem = _connectivity_problem(g.vertex_count, reached)
     if problem is not None:
@@ -306,9 +307,13 @@ def from_edge_list(text: str) -> Graph:
     return g
 
 
-def _read_edges(text: str) -> tuple[array, array] | None:
-    """The CSR columns of the edges of ``text``, or ``None`` at the first
-    faulty line or an id larger than the number of lines."""
+def _read_edges(text: str) -> tuple[tuple[array, array] | None, int | None]:
+    """The CSR columns of the edges of ``text`` and its number of lines.
+
+    The columns are ``None`` at the first faulty line, and the count too,
+    for the lines after it are not read; at an id larger than the number
+    of lines, the columns alone are ``None``.
+    """
     # unsigned, so that a negative id overflows its item as one of 2**32 does
     ends = array("I")
     line_count = 0
@@ -317,15 +322,17 @@ def _read_edges(text: str) -> tuple[array, array] | None:
         if lines is None:
             lines = _read_lines(chunk, ends)
             if lines is None:
-                return None
+                return None, None
         line_count += lines
     top = max(ends, default=-1)
     if top > line_count:
-        return None
-    return _csr(top + 1, ends)
+        return None, line_count
+    return _csr(top + 1, ends), line_count
 
 
-def _first_fault(text: str, flagged: Container[int] | None = None) -> str:
+def _first_fault(
+    text: str, line_count: int | None = None, flagged: Container[int] | None = None
+) -> str:
     """The error message for the first faulty line of ``text``.
 
     The lines are read again in order, one set of the edges seen held, each
@@ -333,13 +340,16 @@ def _first_fault(text: str, flagged: Container[int] | None = None) -> str:
     line's checks are made in this order: two fields, integer ids,
     non-negative ids, no self-loop, no id larger than the number of lines,
     not an edge seen on an earlier line. ``text`` must hold a faulty line.
+    ``line_count``, the number of lines of ``text``, is counted first when
+    not given.
 
     ``flagged``, when given, holds the rows that list an id twice, from a
     first read that found no other fault. A duplicate edge lists each of
     its ends twice in the other's row, so only the edges with both ends
     flagged are held and looked up; a self-loop is found by its line.
     """
-    line_count = sum(len(chunk.splitlines()) for chunk in _line_chunks(text))
+    if line_count is None:
+        line_count = sum(len(chunk.splitlines()) for chunk in _line_chunks(text))
     seen: set[int] = set()
     lines = chain.from_iterable(map(str.splitlines, _line_chunks(text)))
     for lineno, raw in enumerate(lines, start=1):
@@ -371,27 +381,48 @@ def _first_fault(text: str, flagged: Container[int] | None = None) -> str:
     raise AssertionError("edge-list text without a faulty line")
 
 
-# Vertices whose lines are formatted and joined at a time, so that no
-# whole-graph list of pairs or lines is held.
+# Slots whose lines are formatted and joined at a time, so that no
+# whole-graph list of pairs or lines is held, however long a row.
 _WRITE_BATCH = 4096
+
+
+def _edge_list_pieces(g: Graph) -> Iterator[str]:
+    """The text of :func:`to_edge_list` in pieces of at most
+    ``_WRITE_BATCH`` lines.
+
+    A piece is the lines of the rows of consecutive vertices that hold at
+    most ``_WRITE_BATCH`` slots together, each row sorted, or a part of one
+    longer row. Such a row is read in ascending order whole: as a ``range``
+    when it is one run of ids (:func:`~topoindices.graph._as_run`), so that
+    no list of its ids is held, otherwise sorted.
+    """
+    offsets, targets = g._offsets, g._targets
+    u = 0
+    while u < g.vertex_count:
+        # the rows from u's on that end within a batch of its first slot
+        end = bisect_right(offsets, offsets[u] + _WRITE_BATCH, u + 1) - 1
+        if end > u:
+            yield "".join(
+                [
+                    f"{w} {v}\n"
+                    for w in range(u, end)
+                    for v in sorted(targets[offsets[w] : offsets[w + 1]])
+                    if w < v
+                ]
+            )
+        else:
+            end = u + 1
+            row = targets[offsets[u] : offsets[end]]
+            row = _as_run(row) or sorted(row)
+            for i in range(0, len(row), _WRITE_BATCH):
+                yield "".join([f"{u} {v}\n" for v in row[i : i + _WRITE_BATCH] if u < v])
+        u = end
 
 
 def to_edge_list(g: Graph) -> str:
     """Serialize to edge-list text; inverse of :func:`from_edge_list`.
 
     One ``u v`` line per edge with ``u < v``, sorted, as :meth:`Graph.edges`
-    lists them. Each row is sorted whole, however long.
+    lists them: the pieces of :func:`_edge_list_pieces`, joined.
     """
-    offsets, targets = g._offsets, g._targets
-    n = g.vertex_count
-    return "".join(
-        "".join(
-            [
-                f"{u} {v}\n"
-                for u in range(start, min(start + _WRITE_BATCH, n))
-                for v in sorted(targets[offsets[u] : offsets[u + 1]])
-                if u < v
-            ]
-        )
-        for start in range(0, n, _WRITE_BATCH)
-    )
+    return "".join(_edge_list_pieces(g))

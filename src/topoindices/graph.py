@@ -34,17 +34,21 @@ labeling's name (:data:`DEGREE` or :data:`NEIGHBOR_SUM`). The tables are
 the one derived value that is cached, on first use.
 
 The tables are counted by exception. A vertex's label depends only on the
-degrees of the vertex and of its neighbors, so with ``d0`` the most common
-degree, a label can differ from ``(d0, d0 * d0)`` only at a vertex of
-another degree or at one of its neighbors. Only those rows are summed, and
-only the rows of vertices off the most common label are walked edge by
-edge; the rest of the edges are counted from the totals. In ``hanoi(n)``
-that is the three corners and their six neighbors out of ``3**n``
-vertices; in a graph of scattered degrees it is nearly every vertex, and
-the count costs about what counting every slot would. Besides the two
-columns, the count holds a degree and a label id per vertex, one byte each
-while they fit in a byte: in ``hanoi(n)``, two bytes per vertex against the
-graph's 16.
+degrees of the vertex and of its neighbors: with ``d0`` the most common
+degree, a neighbor sum is ``d0`` per neighbor, corrected by ``deg(u) - d0``
+for each neighbor ``u`` of another degree. A row of such a ``u`` that is one
+run of ids, as the double wheel's hub row is, adds its correction to an
+interval of ids, and each stretch of vertices under one total correction is
+labeled at once; only the targets of the other such rows have their sums
+read from their own rows. Only the rows of vertices off the most common
+label are walked edge by edge, a run row with one count of its slice of
+labels, and the rest of the edges are counted from the totals. In
+``hanoi(n)`` that is the three corners and their six neighbors out of
+``3**n`` vertices, in the double wheel the hub alone; in a graph of
+scattered degrees it is nearly every vertex, and the count costs about what
+counting every slot would. Besides the two columns, the count holds a
+degree and a label id per vertex, one byte each while they fit in a byte:
+in ``hanoi(n)``, two bytes per vertex against the graph's 16.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -55,9 +59,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, islice, pairwise, repeat
+from itertools import accumulate, chain, compress, islice, pairwise, repeat
 from operator import add
 from types import MappingProxyType
 
@@ -181,8 +186,9 @@ _HIGH_BITS = _ONES * ((1 << 8 * _LANE) - (1 << 8))
 _LOW_BYTE = 0 if sys.byteorder == "little" else _LANE - 1
 
 # A per-vertex column of small ints: a bytearray while every item is below
-# 256, widened once to a list when one is not.
-_Column = bytearray | list[int]
+# 256, widened once when one is not, the degrees to an array of TYPECODE
+# ints and the label ids to a list.
+_Column = bytearray | array | list[int]
 
 
 def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
@@ -195,10 +201,12 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     difference is one degree, at most the largest offset, which its
     signed 4-byte item keeps below ``2**31``. A block whose lanes all equal
     its first degree is counted with one comparison against that degree
-    times ``_ONES``; only the other blocks are fed to the ``Counter``.
+    times ``_ONES`` and written as that degree repeated; only the other
+    blocks are converted back to bytes and fed to the ``Counter``.
 
     The column is a ``bytearray`` while every degree is below 256, and is
-    widened once, at the first block that holds a larger one.
+    widened once, to an ``array`` of ``TYPECODE`` ints, at the first block
+    that holds a larger one.
     """
     order = sys.byteorder
     vertex_count = len(offsets) - 1
@@ -208,24 +216,27 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     with memoryview(offsets).cast("B") as raw:
         for start in range(0, vertex_count, _BLOCK):
             end = min(start + _BLOCK, vertex_count)
-            if end - start < _BLOCK:
+            size = end - start
+            if size < _BLOCK:
                 # the last, short block: every lane of _ONES is alike, so
                 # its low lanes are the short block's pattern
-                ones &= (1 << 8 * _LANE * (end - start)) - 1
+                ones &= (1 << 8 * _LANE * size) - 1
             lo, hi = start * _LANE, end * _LANE
             lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
             lanes -= int.from_bytes(raw[lo:hi], order)
-            if lanes & _HIGH_BITS and isinstance(column, bytearray):
-                column = list(column)
-            items = lanes.to_bytes(hi - lo, order)
-            if isinstance(column, bytearray):
-                column[start:end] = items[_LOW_BYTE::_LANE]
-            else:
-                column[start:end] = array(TYPECODE, items).tolist()
+            narrow = isinstance(column, bytearray)
+            if narrow and lanes & _HIGH_BITS:
+                # array(TYPECODE, a bytearray) would read its raw bytes
+                wide = array(TYPECODE, [0]) * vertex_count
+                wide[:start] = array(TYPECODE, iter(column[:start]))
+                column, narrow = wide, False
             first = offsets[start + 1] - offsets[start]
             if lanes == first * ones:
-                counts[first] += end - start
+                counts[first] += size
+                column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
             else:
+                items = lanes.to_bytes(hi - lo, order)
+                column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
                 counts.update(column[start:end])
     return column, counts
 
@@ -267,6 +278,32 @@ def _blocks(runs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
 def _pieces(column: Sequence[int], runs: Iterable[tuple[int, int]]) -> Iterator[int]:
     """The items of ``column`` in ``runs``, in order, copied a block at a time."""
     return chain.from_iterable(column[start:end] for start, end in _blocks(runs))
+
+
+def _as_run(row: Sequence[int]) -> range | None:
+    """The ids of the non-empty ``row`` as a ``range`` when they are one run,
+    else ``None``.
+
+    No row of a ``Graph`` repeats an id, so a row is a run exactly when its
+    largest id less its smallest is its length less one: two C-level
+    reductions and no sort.
+    """
+    lo = min(row)
+    hi = max(row) + 1
+    return range(lo, hi) if hi - lo == len(row) else None
+
+
+def _without(runs: Iterable[tuple[int, int]], points: Sequence[int]) -> list[tuple[int, int]]:
+    """``runs`` with the sorted ``points`` taken out."""
+    out = []
+    for start, end in runs:
+        for p in points[bisect_left(points, start) : bisect_left(points, end)]:
+            if start < p:
+                out.append((start, p))
+            start = p + 1
+        if start < end:
+            out.append((start, end))
+    return out
 
 
 def _slots(offsets: array, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -360,44 +397,56 @@ class Graph:
 
         The count is exact and walks only the rows of exceptional vertices.
         A vertex's ``(degree, neighbor_sum)`` label depends only on its own
-        degree and its neighbors' degrees. So with ``d0`` the most common
-        degree, a label can differ from ``(d0, d0 * d0)`` only in T, the
-        vertices of another degree and their neighbors:
+        degree and its neighbors' degrees. With ``d0`` the most common
+        degree, ``neighbor_sum(v)`` is ``d0 * deg(v)`` plus ``deg(u) - d0``
+        for each neighbor ``u`` of another degree, so a label can differ
+        from ``(d0, d0 * d0)`` only at those vertices and their neighbors:
 
-        * Labels: T's degrees and neighbor sums are summed over T's rows,
-          and each label is ranked to a small id as it is streamed. Every
-          vertex outside T gets id 0, the label ``(d0, d0 * d0)``. When
-          the rows of the vertices of another degree hold at least as many
-          slots as there are vertices of degree ``d0``, T may be every
-          vertex; it is then taken to be every vertex, and none is marked.
+        * Runs: a row of another degree's vertex that is one run of ids,
+          :func:`_as_run`, adds its ``deg - d0`` to the sum of every vertex
+          in it; only rows of ``_BLOCK`` slots or more are tested. The runs'
+          ends are sorted, and each stretch of one nonzero total correction
+          is labeled ``(d0, d0 * d0 + correction)`` with one slice
+          assignment. A run row's own vertex sums its neighbors' degrees as
+          one slice of the degree column.
+        * Pulls: P, the other vertices of another degree and the targets of
+          their rows, sum their neighbors' degrees over their own rows, as
+          they are streamed; their labels replace those of the runs. When
+          the rows of those vertices of another degree hold at least as many
+          slots as there are vertices of degree ``d0``, P may be every
+          vertex; it is then taken to be every vertex but the run rows',
+          none is marked, and the runs' corrections are not summed.
+          Each label is ranked to a small id as it is found, and every
+          vertex left unlabeled keeps id 0, the label ``(d0, d0 * d0)``.
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
-          target slot. A slot from S to a most-common vertex is counted
-          twice, for its mirror is in that vertex's row, which is not
-          walked, and every other slot joins two most-common vertices. Each
-          edge is seen once in each orientation, and the tables halve the
-          counts at the end.
+          target slot, and a run row's as one count of its slice of ids,
+          the most common id dropped from it at C speed and counted as the
+          rest. A slot from S to a most-common vertex is counted twice, for
+          its mirror is in that vertex's row, which is not walked, and every
+          other slot joins two most-common vertices. Each edge is seen once
+          in each orientation, and the tables halve the counts at the end.
 
-        In ``hanoi(n)``, n >= 3, T and S are the three corners and their
-        six neighbors. In the double wheel, T is every vertex and S the
-        hub, and on an irregular graph both are most of the vertices, so
-        the count walks about as many slots as counting every slot would.
-        Vertex runs are found a block at a time, so a block without
-        exceptions costs one C-level ``count``, and columns are copied a
-        block at a time. The degrees and the ids are the only vertex-length
-        columns, each a ``bytearray`` while its items fit in a byte and
-        widened once to a list when one does not: the degrees by
-        :func:`_degree_column` at the first block with a degree of 256 or
-        more, the ids, which T's labels are ranked straight into, when a
-        257th label appears. A list, not an ``array`` of ``TYPECODE`` ints,
-        because it indexes about twice as fast, at 8 bytes per vertex
-        against 4: an id above 256 is the int ``rank`` holds, shared by
-        every vertex of its label, and a degree above 256 belongs to a row
-        of at least 257 slots, beside which its own int is small.
+        In ``hanoi(n)``, n >= 3, P and S are the three corners and their six
+        neighbors. In the double wheel, the hub's row is a run, so P is
+        empty and S is the hub: no ring vertex's row is read. On an
+        irregular graph P and S are most of the vertices, so the count
+        walks about as many slots as counting every slot would. Vertex runs
+        are found a block at a time, so a block without exceptions costs
+        one C-level ``count``, and columns are copied a block at a time.
+        The degrees and the ids are the only vertex-length columns, each a
+        ``bytearray`` while its items fit in a byte. The degrees are widened
+        once, by :func:`_degree_column` at the first block with a degree of
+        256 or more, to an ``array`` of ``TYPECODE`` ints, the width of
+        ``offsets``. The ids are a list when there are more than 256 labels:
+        from the start when the runs find that many, else from the block of
+        P where the 257th label appears. A list, not an ``array``, because
+        it indexes about twice as fast, and an id above 256 is the int
+        ``rank`` holds, shared by every vertex of its label.
 
-        Rows outside T and S are never read, which the invariant of every
-        ``Graph`` makes sound: ids are in range, rows are symmetric, and no
-        slot is a loop or a repeat.
+        No other row is read but the long rows that are tested for a run,
+        which the invariant of every ``Graph`` makes sound: ids are in
+        range, rows are symmetric, and no slot is a loop or a repeat.
         """
         if self._classes is not None:
             return self._classes
@@ -406,52 +455,121 @@ class Graph:
         vertex_count = len(degrees)
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
-        # T: the vertices of another degree than d0, and their neighbors.
-        # Their rows can reach every vertex of degree d0 only if they hold at
-        # least as many slots; T is then taken to be every vertex
+        # The rows of the vertices of another degree than d0 that are one run
+        # of ids [lo, hi): each adds deg - d0 to the neighbor sum of every
+        # vertex in it. Only rows of _BLOCK slots or more are tested, so that
+        # a graph of many short rows pays nothing for it; `odd`, the vertices
+        # of another degree, is found only for such rows or to mark P below
         d0_count = degree_counts[d0]
-        if len(targets) - d0 * d0_count >= d0_count:
-            t_runs = [(0, vertex_count)]
-        else:
-            odd = _differing(degrees, d0)
-            odd_slots = _slots(offsets, odd)
-            in_t = bytearray(vertex_count)
-            for v in chain(_pieces(range(vertex_count), odd), _pieces(targets, odd_slots)):
-                in_t[v] = 1
-            t_runs = _runs(in_t)
-            del in_t
+        other_slots = len(targets) - d0 * d0_count
+        long_rows = any(d >= _BLOCK for d in degree_counts if d != d0)
+        odd = _differing(degrees, d0) if long_rows or other_slots < d0_count else []
+        run_rows: dict[int, range] = {}
+        if long_rows:
+            with memoryview(targets) as view:
+                hubs = compress(_pieces(range(vertex_count), odd), map(_BLOCK.__le__, _pieces(degrees, odd)))
+                for u in hubs:
+                    run = _as_run(view[offsets[u] : offsets[u + 1]])
+                    if run:
+                        run_rows[u] = run
+        run_vertices = list(run_rows)
 
-        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, t_runs)))
-        sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, t_runs)))
+        # P, the vertices whose neighbor sums are pulled from their rows: the
+        # vertices of another degree, but for those of run rows, whose sums
+        # are one slice of degrees each, and the targets of their rows. Those
+        # rows can reach every vertex of degree d0 only if they hold at least
+        # as many slots; P is then taken to be every vertex, none is marked,
+        # and no run's correction is needed
+        changes = []
+        if other_slots - sum(map(len, run_rows.values())) >= d0_count:
+            p_runs = _without([(0, vertex_count)], run_vertices)
+        else:
+            p_runs = _without(odd, run_vertices)
+            marked = _slots(offsets, p_runs)
+            if any(start < end for start, end in marked):
+                in_p = bytearray(vertex_count)
+                for start, end in p_runs:
+                    in_p[start:end] = b"\x01" * (end - start)
+                for v in _pieces(targets, marked):
+                    in_p[v] = 1
+                p_runs = _without(_runs(in_p), run_vertices)
+                del in_p
+            # one change of the correction where each run starts, one where it ends
+            changes = sorted(chain.from_iterable(
+                ((run.start, degrees[u] - d0), (run.stop, d0 - degrees[u])) for u, run in run_rows.items()
+            ))
+
+        # Labels, each ranked to a small id: (d0, d0 * d0 + correction) over
+        # each stretch of one nonzero total correction, then the labels of
+        # the run rows' vertices, then P's, streamed. `counts` counts the
+        # ids written; `overwritten`, the ids that P's blocks replace
+        rank = {(d0, d0 * d0): 0}
+        segments = []
+        correction = 0
+        for (start, change), (end, _) in pairwise(changes):
+            correction += change
+            if correction and start < end:
+                segments.append((start, end, rank.setdefault((d0, d0 * d0 + correction), len(rank))))
+        with memoryview(degrees) as view:
+            run_ids = [
+                rank.setdefault((degrees[u], sum(view[run.start : run.stop])), len(rank))
+                for u, run in run_rows.items()
+            ]
+        ids: _Column = bytearray(vertex_count) if len(rank) <= 256 else [0] * vertex_count
+        counts = Counter({0: vertex_count})
+        for start, end, i in segments:
+            ids[start:end] = bytes((i,)) * (end - start) if isinstance(ids, bytearray) else [i] * (end - start)
+            counts[0] -= end - start
+            counts[i] += end - start
+        for u, i in zip(run_rows, run_ids):
+            counts[ids[u]] -= 1
+            counts[i] += 1
+            ids[u] = i
+        overwritten: Counter[int] = Counter()
+        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, p_runs)))
+        sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
         # map draws each label, then len(rank), before its lookup, so a new
-        # label gets the next id; the None key holds id 0 for the vertices
-        # outside T
-        rank: dict[tuple[int, int] | None, int] = {None: 0}
-        t_ids = map(rank.setdefault, zip(_pieces(degrees, t_runs), sums), map(len, repeat(rank)))
-        ids: _Column = bytearray(vertex_count)
-        for start, end in _blocks(t_runs):
-            block = list(islice(t_ids, end - start))
+        # label gets the next id
+        p_ids = map(rank.setdefault, zip(_pieces(degrees, p_runs), sums), map(len, repeat(rank)))
+        for start, end in _blocks(p_runs):
+            block = list(islice(p_ids, end - start))
             if len(rank) > 256 and isinstance(ids, bytearray):
                 ids = list(ids)
+            overwritten.update(ids[start:end])
+            counts.update(block)
             ids[start:end] = bytes(block) if isinstance(ids, bytearray) else block
+        counts.subtract(overwritten)
         # a label is (degree, neighbor_sum), in the order of these tables
-        labels = [(d0, d0 * d0), *islice(rank, 1, None)]
+        labels = list(rank)
         width = len(labels)
 
-        # S: the vertices off the most common id; only their rows are walked
-        id_counts = Counter(_pieces(ids, t_runs))
-        id_counts[0] = ids.count(0)
-        common = max(id_counts, key=id_counts.__getitem__)
-        s_runs = _differing(ids, common)
+        # S: the vertices off the most common id; only their rows are
+        # walked, a run row as one count of its slice of ids
+        common = max(counts, key=counts.__getitem__)
+        pairs: Counter[int] = Counter()
+        walked = 0
+        for u, run in run_rows.items():
+            if ids[u] != common:
+                source = ids[u] * width
+                row_ids = ids[run.start : run.stop]
+                if isinstance(row_ids, bytearray):
+                    # the common id is counted apart, dropped at C speed
+                    others = row_ids.translate(None, bytes((common,)))
+                    if len(others) < len(row_ids):
+                        pairs[source + common] += len(row_ids) - len(others)
+                    row_ids = others
+                pairs.update(map(source.__add__, row_ids))
+                walked += len(run)
+        s_runs = _without(_differing(ids, common), run_vertices)
         s_slots = _slots(offsets, s_runs)
         source_ids = chain.from_iterable(
             map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _pieces(degrees, s_runs))
         )
-        pairs = Counter(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
+        pairs.update(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
         # a slot from S to a most-common vertex is counted twice, once for
         # its mirror in that vertex's row, which is not walked; the slots
         # left over join two most-common vertices
-        rest = len(targets) - sum(end - start for start, end in s_slots)
+        rest = len(targets) - walked - sum(end - start for start, end in s_slots)
         for pair in range(common, width * width, width):
             if pair in pairs:
                 rest -= pairs[pair]

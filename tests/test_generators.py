@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 from array import array
 from collections import Counter
@@ -27,8 +28,15 @@ from topoindices import (
 )
 from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
-from topoindices.generators import _LANE_BLOCK, _READ_CHUNK, _first_fault, _read_lines
-from topoindices.graph import TYPECODE
+from topoindices.generators import (
+    _LANE_BLOCK,
+    _READ_CHUNK,
+    _WRITE_BATCH,
+    _edge_list_pieces,
+    _first_fault,
+    _read_lines,
+)
+from topoindices.graph import TYPECODE, _csr
 
 
 def column_digest(column: array) -> str:
@@ -307,13 +315,14 @@ class TestEdgeListMemory:
     def test_walk_fault_reread_tracks_flagged_rows(self, monkeypatch):
         # the walk flags rows 0 and 1 alone, so the re-read holds no edge
         # but (0, 1): the peak is the first read's, 3,140,945 B, where a
-        # re-read holding every edge peaked at 9,163,316 B
+        # re-read holding every edge peaked at 9,163,316 B. The first read's
+        # line count comes with them, so the text is not split to count it
         text = to_edge_list(double_wheel(20000)) + "1 0\n"
         flagged = []
 
-        def first_fault(text, *rows):
-            flagged.append(rows)
-            return _first_fault(text, *rows)
+        def first_fault(text, *args):
+            flagged.append(args)
+            return _first_fault(text, *args)
 
         monkeypatch.setattr(generators, "_first_fault", first_fault)
         tracemalloc.start()
@@ -323,7 +332,7 @@ class TestEdgeListMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert flagged == [({0, 1},)]
+        assert flagged == [(80001, {0, 1})]
         assert peak <= 1.1 * 3_140_945
 
     @pytest.mark.parametrize("fault", ["1 0\n", "1 x\n", "0 99999\n"])
@@ -397,6 +406,25 @@ class TestEdgeListRoundTrip:
 
     def test_serialized_form(self):
         assert to_edge_list(Graph(3, [(0, 1), (1, 2), (0, 2)])) == "0 1\n0 2\n1 2\n"
+
+    @pytest.mark.parametrize(
+        "hub, row",
+        [
+            (0, range(1, 5001)),
+            (5001, range(5001)),
+            (0, [v for v in range(1, 5002) if v != 2500]),
+            (2500, [v for v in range(5002) if v != 2500]),
+        ],
+        ids=["run-after-hub", "run-before-hub", "run-but-one-id", "hub-inside-its-span"],
+    )
+    def test_long_rows_written_sorted(self, hub, row):
+        # a row longer than a write batch, in shuffled order, that is or is
+        # not one run of ids; no piece holds more than a batch of lines
+        row = list(row)
+        random.Random(hub).shuffle(row)
+        g = Graph._from_csr(*_csr(5002, [end for v in row for end in (hub, v)]))
+        assert to_edge_list(g) == "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert max(piece.count("\n") for piece in _edge_list_pieces(g)) <= _WRITE_BATCH
 
 
 class TestEdgeListBytes:

@@ -1,13 +1,14 @@
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_edge_classes
-from topoindices import Graph, double_wheel, from_edge_list, graph, hanoi
+from conftest import reference_edge_classes, shuffled_edge_list
+from topoindices import Graph, double_wheel, from_edge_list, graph, hanoi, to_edge_list
 from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _degree_column
 
 
@@ -302,13 +303,125 @@ class TestEdgeClasses:
     @pytest.mark.parametrize("degree", [255, 256, 257])
     def test_hub_past_the_first_block(self, degree):
         # a cycle with a hub in its third block: the degree column is a
-        # bytearray until that block, and a list from there on when a
-        # degree is 256 or more
+        # bytearray until that block, and an array of TYPECODE ints from
+        # there on when a degree is 256 or more
         hub = 2 * _BLOCK + 7
         g = Graph(3 * _BLOCK, [*cycle(3 * _BLOCK).edges(), *((hub, v) for v in range(degree - 2))])
         assert g.degree(hub) == degree
-        assert isinstance(_degree_column(g._offsets)[0], list) == (degree >= 256)
+        column = _degree_column(g._offsets)[0]
+        if degree >= 256:
+            assert isinstance(column, array) and column.typecode == TYPECODE
+        else:
+            assert isinstance(column, bytearray)
         assert_degree_column(g)
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_shuffled_double_wheel(self):
+        # the hub's row is one run of ids in shuffled order, 1..2n
+        g = from_edge_list(shuffled_edge_list(to_edge_list(double_wheel(700)), seed=3))
+        hub_row = g._targets[g._offsets[0] : g._offsets[1]]
+        assert list(hub_row) != sorted(hub_row) == list(range(1, 1401))
+        assert classes(g) == reference_edge_classes(g) == classes(double_wheel(700))
+
+    @pytest.mark.parametrize("runs", [[(0, 600), (0, 300), (300, 600)], [(0, 400), (150, 600)]])
+    def test_hubs_with_overlapping_run_rows(self, runs):
+        # each hub lists one run of the leaves 0..599, and every leaf is in
+        # one or two runs: corrections add where runs overlap
+        leaves = 600
+        hubs = enumerate(runs, start=leaves)
+        g = Graph(leaves + len(runs), [(hub, v) for hub, (start, end) in hubs for v in range(start, end)])
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("gap", [1, 150, 299])
+    def test_row_that_is_a_run_but_for_one_id(self, gap):
+        # a hub of a cycle lists the run 10..310 with one inner id left out,
+        # so its row is no run, and its targets' sums are pulled
+        size = 3 * _BLOCK
+        hub = size
+        row = [v for v in range(10, 311) if v != 10 + gap]
+        g = Graph(size + 1, [*cycle(size).edges(), *((hub, v) for v in row)])
+        assert graph._as_run(g._targets[g._offsets[hub] : g._offsets[hub + 1]]) is None
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(0, 300), (100, 400), (_BLOCK, 2 * _BLOCK + 50), (37, 2 * _BLOCK), (90, 3 * _BLOCK)],
+    )
+    def test_run_starting_or_ending_mid_block(self, start, end):
+        # a cycle and a hub over [start, end): the run's correction changes
+        # the labels inside a block of uniform degree
+        size = 3 * _BLOCK
+        g = Graph(size + 1, [*cycle(size).edges(), *((size, v) for v in range(start, end))])
+        assert graph._as_run(g._targets[g._offsets[size] :]) == range(start, end)
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_most_common_degree_of_256_or_more(self):
+        # K_300 and a vertex joined to 0..259: d0 = 300, the degree column
+        # is an array, and the rows of 299 and of the new vertex are runs
+        # that lower the sums of their targets
+        edges = [(u, v) for v in range(300) for u in range(v)]
+        g = Graph(301, [*edges, *((300, v) for v in range(260))])
+        assert Counter(map(g.degree, range(301))).most_common(1) == [(300, 260)]
+        assert isinstance(_degree_column(g._offsets)[0], array)
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("run", [260, 380])
+    def test_interval_and_pulled_corrections_cancel(self, run):
+        # A 200-regular circulant on 600 vertices, with two vertices added
+        # so that every old vertex keeps degree d0 = 200: a hub H joined to
+        # the run 0..run - 1, each of whose pairs (2j, 2j + 1) loses its
+        # edge, and a vertex Q of degree 400 - run joined to 0, 2, 4, ...,
+        # each of whose pairs (4m, 4m + 2) loses its edge. H corrects the
+        # sums of its run by c = run - 200, and Q, whose row is no run,
+        # those of its targets by -c: Q's targets in H's run have d0 * d0
+        # again. With run = 380 the label of H's run is the most common
+        # one, so H's row, in S, lists ids both of it and of d0 * d0
+        size, hub, q = 600, 600, 601
+        c, pairs = run - 200, (400 - run) // 2
+        dropped = {(2 * j, 2 * j + 1) for j in range(run // 2)}
+        dropped |= {(4 * m, 4 * m + 2) for m in range(pairs)}
+        edges = [(v, (v + k) % size) for v in range(size) for k in range(1, 101)]
+        edges = [e for e in edges if e not in dropped]
+        edges += [(hub, v) for v in range(run)]
+        edges += [(q, v) for m in range(pairs) for v in (4 * m, 4 * m + 2)]
+        g = Graph(size + 2, edges)
+        assert {g.degree(v) for v in range(size)} == {200}
+        assert (g.degree(hub), g.degree(q)) == (run, 200 - c)
+        assert g.neighbor_degree_sum(0) == 200 * 200
+        assert g.neighbor_degree_sum(1) == 200 * 200 + c
+        labels = Counter((g.degree(v), g.neighbor_degree_sum(v)) for v in range(g.vertex_count))
+        assert (labels.most_common(1)[0][0] == (200, 200 * 200 + c)) == (run == 380)
+        assert classes(g) == reference_edge_classes(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hubs_over_runs_and_near_runs(self, data):
+        # a cycle, hubs each joined to a run of its vertices of _BLOCK or
+        # more, or to such a run with one inner id left out, and a few chords
+        size = data.draw(st.integers(_BLOCK + 2, 3 * _BLOCK))
+        edges = set(cycle(size).edges())
+        hubs = data.draw(st.integers(1, 3))
+        for hub in range(size, size + hubs):
+            start = data.draw(st.integers(0, size - _BLOCK))
+            end = data.draw(st.integers(start + _BLOCK, size))
+            gap = data.draw(st.none() | st.integers(start + 1, end - 2))
+            edges |= {(v, hub) for v in range(start, end) if v != gap}
+        for _ in range(data.draw(st.integers(0, 4))):
+            u, v = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph(size + hubs, edges)
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_more_than_256_labels_from_runs(self):
+        # 257 stars whose leaves, 256 to 512 of them, are runs of ids: each
+        # star's leaves and each center carry a label of their own, so the
+        # id column is a list from the start
+        centers = range(257)
+        sizes = [256 + k for k in centers]
+        first = list(accumulate(sizes, initial=len(centers)))
+        g = Graph(first[-1], [(k, v) for k in centers for v in range(first[k], first[k + 1])])
+        assert len({(g.degree(v), g.neighbor_degree_sum(v)) for v in range(g.vertex_count)}) > 256
         assert classes(g) == reference_edge_classes(g)
 
     def test_more_than_256_labels(self):
