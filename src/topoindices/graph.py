@@ -411,13 +411,9 @@ class Graph:
           one slice of the degree column.
         * Pulls: P, the other vertices of another degree and the targets of
           their rows, sum their neighbors' degrees over their own rows, as
-          they are streamed; their labels replace those of the runs. When
-          the rows of those vertices of another degree hold at least as many
-          slots as there are vertices of degree ``d0``, P may be every
-          vertex; it is then taken to be every vertex but the run rows',
-          none is marked, and the runs' corrections are not summed.
-          Each label is ranked to a small id as it is found, and every
-          vertex left unlabeled keeps id 0, the label ``(d0, d0 * d0)``.
+          they are streamed; their labels replace those of the runs. Each
+          label is ranked to a small id as it is found, and every vertex
+          left unlabeled keeps id 0, the label ``(d0, d0 * d0)``.
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
           target slot, and a run row's as one count of its slice of ids,
@@ -438,7 +434,9 @@ class Graph:
         ``bytearray`` while its items fit in a byte. The degrees are widened
         once, by :func:`_degree_column` at the first block with a degree of
         256 or more, to an ``array`` of ``TYPECODE`` ints, the width of
-        ``offsets``. The ids are a list when there are more than 256 labels:
+        ``offsets``; a wide column is copied to a list for the pull when P
+        pulls a slot or more per four vertices, as when a hub's row is not
+        a run. The ids are a list when there are more than 256 labels:
         from the start when the runs find that many, else from the block of
         P where the 257th label appears. A list, not an ``array``, because
         it indexes about twice as fast, and an id above 256 is the int
@@ -458,14 +456,10 @@ class Graph:
         # The rows of the vertices of another degree than d0 that are one run
         # of ids [lo, hi): each adds deg - d0 to the neighbor sum of every
         # vertex in it. Only rows of _BLOCK slots or more are tested, so that
-        # a graph of many short rows pays nothing for it; `odd`, the vertices
-        # of another degree, is found only for such rows or to mark P below
-        d0_count = degree_counts[d0]
-        other_slots = len(targets) - d0 * d0_count
-        long_rows = any(d >= _BLOCK for d in degree_counts if d != d0)
-        odd = _differing(degrees, d0) if long_rows or other_slots < d0_count else []
+        # a graph of many short rows pays nothing for it
+        odd = _differing(degrees, d0)
         run_rows: dict[int, range] = {}
-        if long_rows:
+        if any(d >= _BLOCK for d in degree_counts if d != d0):
             with memoryview(targets) as view:
                 hubs = compress(_pieces(range(vertex_count), odd), map(_BLOCK.__le__, _pieces(degrees, odd)))
                 for u in hubs:
@@ -473,31 +467,23 @@ class Graph:
                     if run:
                         run_rows[u] = run
         run_vertices = list(run_rows)
+        # one change of the correction where each run starts, one where it ends
+        changes = sorted(chain.from_iterable(
+            ((run.start, degrees[u] - d0), (run.stop, d0 - degrees[u])) for u, run in run_rows.items()
+        ))
 
         # P, the vertices whose neighbor sums are pulled from their rows: the
         # vertices of another degree, but for those of run rows, whose sums
-        # are one slice of degrees each, and the targets of their rows. Those
-        # rows can reach every vertex of degree d0 only if they hold at least
-        # as many slots; P is then taken to be every vertex, none is marked,
-        # and no run's correction is needed
-        changes = []
-        if other_slots - sum(map(len, run_rows.values())) >= d0_count:
-            p_runs = _without([(0, vertex_count)], run_vertices)
-        else:
-            p_runs = _without(odd, run_vertices)
-            marked = _slots(offsets, p_runs)
-            if any(start < end for start, end in marked):
-                in_p = bytearray(vertex_count)
-                for start, end in p_runs:
-                    in_p[start:end] = b"\x01" * (end - start)
-                for v in _pieces(targets, marked):
-                    in_p[v] = 1
-                p_runs = _without(_runs(in_p), run_vertices)
-                del in_p
-            # one change of the correction where each run starts, one where it ends
-            changes = sorted(chain.from_iterable(
-                ((run.start, degrees[u] - d0), (run.stop, d0 - degrees[u])) for u, run in run_rows.items()
-            ))
+        # are one slice of degrees each, and the targets of their rows
+        p_runs = _without(odd, run_vertices)
+        if p_runs:
+            in_p = bytearray(vertex_count)
+            for start, end in p_runs:
+                in_p[start:end] = b"\x01" * (end - start)
+            for v in _pieces(targets, _slots(offsets, p_runs)):
+                in_p[v] = 1
+            p_runs = _without(_runs(in_p), run_vertices)
+            del in_p
 
         # Labels, each ranked to a small id: (d0, d0 * d0 + correction) over
         # each stretch of one nonzero total correction, then the labels of
@@ -526,7 +512,14 @@ class Graph:
             counts[i] += 1
             ids[u] = i
         overwritten: Counter[int] = Counter()
-        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, p_runs)))
+        p_slots = _slots(offsets, p_runs)
+        # CPython specializes list indexing, which reads a wide column about
+        # 40 ns a slot faster than an array's; the list costs about 8 ns a
+        # vertex to make, so it is made when P pulls a slot per four vertices
+        lookup = degrees
+        if isinstance(degrees, array) and 4 * sum(end - start for start, end in p_slots) >= vertex_count:
+            lookup = degrees.tolist()
+        target_degrees = map(lookup.__getitem__, _pieces(targets, p_slots))
         sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
         # map draws each label, then len(rank), before its lookup, so a new
         # label gets the next id
@@ -535,7 +528,12 @@ class Graph:
             block = list(islice(p_ids, end - start))
             if len(rank) > 256 and isinstance(ids, bytearray):
                 ids = list(ids)
-            overwritten.update(ids[start:end])
+            # a block outside every stretch of a correction replaces only 0s
+            replaced = ids[start:end]
+            if replaced.count(0) == end - start:
+                overwritten[0] += end - start
+            else:
+                overwritten.update(replaced)
             counts.update(block)
             ids[start:end] = bytes(block) if isinstance(ids, bytearray) else block
         counts.subtract(overwritten)
@@ -577,12 +575,16 @@ class Graph:
         if rest:
             pairs[common * width + common] = rest
 
-        tables: dict[str, dict[tuple[int, int], int]] = {DEGREE: {}, NEIGHBOR_SUM: {}}
+        degree_table: dict[tuple[int, int], int] = {}
+        sum_table: dict[tuple[int, int], int] = {}
         for pair, count in pairs.items():
             source, target = divmod(pair, width)
-            for table, a, b in zip(tables.values(), labels[source], labels[target]):
-                key = (a, b) if a <= b else (b, a)
-                table[key] = table.get(key, 0) + count
+            (a, s), (b, t) = labels[source], labels[target]
+            key = (a, b) if a <= b else (b, a)
+            degree_table[key] = degree_table.get(key, 0) + count
+            key = (s, t) if s <= t else (t, s)
+            sum_table[key] = sum_table.get(key, 0) + count
+        tables = {DEGREE: degree_table, NEIGHBOR_SUM: sum_table}
         classes = MappingProxyType({
             mode: MappingProxyType({key: count // 2 for key, count in table.items()})
             for mode, table in tables.items()

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from array import array
 from collections import Counter
@@ -322,6 +323,17 @@ class TestEdgeClasses:
         hub_row = g._targets[g._offsets[0] : g._offsets[1]]
         assert list(hub_row) != sorted(hub_row) == list(range(1, 1401))
         assert classes(g) == reference_edge_classes(g) == classes(double_wheel(700))
+
+    def test_relabelled_double_wheel(self):
+        # the hub moved to an inner id: its row, every id but its own, is no
+        # run, so every ring vertex's sum is pulled through the wide column
+        n = 700
+        perm = list(range(2 * n + 1))
+        random.Random(5).shuffle(perm)
+        g = Graph(2 * n + 1, [(perm[u], perm[v]) for u, v in double_wheel(n).edges()])
+        assert 0 < perm[0] < 2 * n
+        assert isinstance(_degree_column(g._offsets)[0], array)
+        assert classes(g) == reference_edge_classes(g) == classes(double_wheel(n))
 
     @pytest.mark.parametrize("runs", [[(0, 600), (0, 300), (300, 600)], [(0, 400), (150, 600)]])
     def test_hubs_with_overlapping_run_rows(self, runs):
