@@ -434,13 +434,13 @@ class Graph:
         ``bytearray`` while its items fit in a byte. The degrees are widened
         once, by :func:`_degree_column` at the first block with a degree of
         256 or more, to an ``array`` of ``TYPECODE`` ints, the width of
-        ``offsets``; a wide column is copied to a list for the pull when P
-        pulls a slot or more per four vertices, as when a hub's row is not
-        a run. The ids are a list when there are more than 256 labels:
-        from the start when the runs find that many, else from the block of
-        P where the 257th label appears. A list, not an ``array``, because
-        it indexes about twice as fast, and an id above 256 is the int
-        ``rank`` holds, shared by every vertex of its label.
+        ``offsets``, and replaced by a list for the pull when P pulls a slot
+        or more per four vertices, as when a hub's row is not a run. The
+        ids are a list when there are more than 256 labels: from the start
+        when the runs find that many, else from the block of P where the
+        257th label appears. A list, not an ``array``, because it indexes
+        about twice as fast, and an id above 256 is the int ``rank`` holds,
+        shared by every vertex of its label.
 
         No other row is read but the long rows that are tested for a run,
         which the invariant of every ``Graph`` makes sound: ids are in
@@ -515,11 +515,11 @@ class Graph:
         p_slots = _slots(offsets, p_runs)
         # CPython specializes list indexing, which reads a wide column about
         # 40 ns a slot faster than an array's; the list costs about 8 ns a
-        # vertex to make, so it is made when P pulls a slot per four vertices
-        lookup = degrees
+        # vertex to make, so it replaces the array when P pulls a slot per
+        # four vertices
         if isinstance(degrees, array) and 4 * sum(end - start for start, end in p_slots) >= vertex_count:
-            lookup = degrees.tolist()
-        target_degrees = map(lookup.__getitem__, _pieces(targets, p_slots))
+            degrees = degrees.tolist()
+        target_degrees = map(degrees.__getitem__, _pieces(targets, p_slots))
         sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
         # map draws each label, then len(rank), before its lookup, so a new
         # label gets the next id
@@ -528,7 +528,8 @@ class Graph:
             block = list(islice(p_ids, end - start))
             if len(rank) > 256 and isinstance(ids, bytearray):
                 ids = list(ids)
-            # a block outside every stretch of a correction replaces only 0s
+            # a block outside the stretches of a correction replaces only 0s,
+            # counted at C speed
             replaced = ids[start:end]
             if replaced.count(0) == end - start:
                 overwritten[0] += end - start
