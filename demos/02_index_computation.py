@@ -4,9 +4,10 @@ from topoindices import (
     IndexKind,
     compute_from_partition,
     compute_index,
+    degree_partition,
     double_wheel,
     hanoi,
-    matching_partition,
+    neighbor_sum_partition,
 )
 
 g = hanoi(3)
@@ -21,9 +22,10 @@ print()
 # add every class's count * term exactly and round once. The partition
 # route is how the closed forms are derived.
 g = double_wheel(7)
+partitions = {p.mode: p for p in (degree_partition(g), neighbor_sum_partition(g))}
 print("double_wheel(7), edge sum vs partition sum:")
 for kind in IndexKind:
     direct = compute_index(g, kind)
-    grouped = compute_from_partition(matching_partition(g, kind), kind)
+    grouped = compute_from_partition(partitions[kind.labeling], kind)
     print(f"  {kind.value:<16} {direct:.12f} vs {grouped:.12f} "
           f"(diff {abs(direct - grouped):.1e})")

@@ -14,10 +14,8 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 from .closed_forms import FAMILIES, Variant, closed_form, get_family
-from .generators import _edge_list_pieces, from_edge_list
 from .graph import Graph
 from .indices import IndexKind, compute_index
 from .partition import (
@@ -94,7 +92,11 @@ def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, in
     if args.edges is not None:
         if args.family is not None or args.n is not None:
             raise ValueError("--edges cannot be combined with --family/--n")
-        text = Path(args.edges).read_text(encoding="utf-8")
+        # only the commands that read or write an edge list compile its module
+        from .edgelist import from_edge_list
+
+        with open(args.edges, encoding="utf-8") as file:
+            text = file.read()
         return from_edge_list(text), None, None
     if args.family is None or args.n is None:
         raise ValueError("either --edges or both --family and --n are required")
@@ -105,6 +107,8 @@ def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, in
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .edgelist import _edge_list_pieces
+
     g = get_family(args.family).build(args.n)
     _write_output(_edge_list_pieces(g), args.out)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Generators for the double-wheel and Hanoi graph families, plus edge-list I/O.
+"""Generators for the double-wheel and Hanoi graph families.
 
 Vertex numbering is part of the contract so fixtures stay stable:
 
@@ -21,15 +21,11 @@ peg ``p``.
 
 from __future__ import annotations
 
-import json
-import re
 import sys
 from array import array
-from bisect import bisect_right
-from collections.abc import Container, Iterator
-from itertools import chain, pairwise
+from itertools import pairwise
 
-from .graph import TYPECODE, Graph, _as_run, _connectivity_problem, _csr, _walk
+from .graph import TYPECODE, Graph
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks measured with getrusage on a 64-bit Linux build of
@@ -69,15 +65,17 @@ def double_wheel(n: int) -> Graph:
     ring = 2 * n
     # one allocation; the hub slot of each ring row stays 0
     targets = array(TYPECODE, [0]) * (4 * ring)
-    targets[:ring] = array(TYPECODE, range(1, ring + 1))
+    targets[:ring] = _progression(1, 1, ring)
     # ring vertex v = 1..2n: previous v - 1, next v + 1, wrapped within its cycle
-    targets[ring + 1 :: 3] = array(TYPECODE, range(ring))
-    targets[ring + 2 :: 3] = array(TYPECODE, range(2, ring + 2))
+    targets[ring + 1 :: 3] = _progression(0, 1, ring)
+    targets[ring + 2 :: 3] = _progression(2, 1, ring)
     for first in (1, n + 1):
         last = first + n - 1
         targets[ring + 3 * first - 2] = last
         targets[ring + 3 * last - 1] = first
-    offsets = array(TYPECODE, chain((0,), range(ring, 4 * ring + 1, 3)))
+    # 0, then ring, ring + 3, ..., 4 * ring: the hub's row, then 3 slots a vertex
+    offsets = _progression(ring - 3, 3, ring + 2)
+    offsets[0] = 0
     return Graph._from_csr(offsets, targets)
 
 
@@ -115,8 +113,8 @@ def hanoi(n: int) -> Graph:
 
     Every vertex but the corners has degree 3, so the offsets are written
     directly, with no degree array: ``offsets[v]`` is ``3v`` minus the
-    number of corners below ``v``, a range per run of vertices between two
-    corners, written ``_OFFSETS_BLOCK`` items at a time.
+    number of corners below ``v``, a :func:`_progression` per run of
+    vertices between two corners, written ``_OFFSETS_BLOCK`` items at a time.
     """
     _require_int(n)
     if n < 1:
@@ -147,12 +145,53 @@ def hanoi(n: int) -> Graph:
     for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
         for start in range(first + 1, last + 1, _OFFSETS_BLOCK):
             end = min(start + _OFFSETS_BLOCK, last + 1)
-            offsets[start:end] = array(TYPECODE, range(3 * start - below, 3 * end - below, 3))
+            offsets[start:end] = _progression(3 * start - below, 3, end - start)
     return Graph._from_csr(offsets, rows)
 
 
-# Items of `hanoi`'s offsets written at a time, as one array of a range.
+# Items of a `_progression` column written by one big-int add, and of
+# `hanoi`'s offsets written at a time, so that no run's column is held
+# beside them.
 _OFFSETS_BLOCK = 1 << 14
+
+# Items of a `_progression` column written from a `range`: below a few
+# hundred items, doubling costs more than it saves.
+_HEAD = 256
+
+
+def _progression(start: int, step: int, count: int) -> array:
+    """``array(TYPECODE, range(start, start + count * step, step))``, written
+    with big-int lane arithmetic a block of ``_OFFSETS_BLOCK`` items at a time.
+
+    The first ``_HEAD`` items are written from the ``range``, and the rest of
+    the first block by doubling: the items so far, read as one integer in
+    the native byte order of the array, plus ``len * step`` in every lane,
+    are the next as many items. Each further block is the one before plus
+    the block's span, ``_OFFSETS_BLOCK * step``, in every lane, one big-int
+    add. ``start`` and ``step`` must be non-negative and every lane of every
+    block, the last block's lanes past ``count`` included, below ``2**31``,
+    so that no lane carries into the next.
+    """
+    column = array(TYPECODE, range(start, start + min(count, _HEAD) * step, step))
+    if count <= _HEAD:
+        return column
+    order = sys.byteorder
+    width = column.itemsize
+    size = min(count, _OFFSETS_BLOCK) * width
+    block = column.tobytes()
+    ones = array(TYPECODE, [1]).tobytes() * _HEAD
+    while len(block) < size:
+        part = min(len(block), size - len(block))
+        shift = len(block) // width * step * int.from_bytes(ones[:part], order)
+        block += (int.from_bytes(block[:part], order) + shift).to_bytes(part, order)
+        ones += ones[:part]
+    column = array(TYPECODE, block)
+    value = int.from_bytes(block, order)
+    span = _OFFSETS_BLOCK * step * int.from_bytes(ones, order)
+    for done in range(_OFFSETS_BLOCK, count, _OFFSETS_BLOCK):
+        value += span
+        column.frombytes(value.to_bytes(size, order)[: (count - done) * width])
+    return column
 
 
 # `pegs` over 2048 periods of 9 lanes, each lane holding the peg of its copy.
@@ -184,245 +223,11 @@ def _triple_and_shift(rows: array) -> None:
             raw[start:end] = block.to_bytes(end - start, order)
 
 
-# Characters of edge-list text read at a time, so that no list of every
-# line is held: about 5000 lines, a few hundred kB of str or int objects.
-_READ_CHUNK = 1 << 16
+def __getattr__(name: str):
+    # The edge-list reader and writer live in `edgelist`, which is loaded on
+    # first use; callers that look them up in this module still find them.
+    if name in ("from_edge_list", "to_edge_list"):
+        from . import edgelist
 
-# A line boundary of `str.splitlines`, with "\r\n" matched whole; compiled on
-# first use, so a process that reads no edge list never compiles it.
-_LINE_BREAK = "\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
-
-# The characters of a plain chunk, and a line of one with a third field.
-# Both are flat, so that matching holds no state per line; a nested group
-# such as "(?:[0-9]+ [0-9]+\n)*" keeps one on the regex engine's stack.
-_PLAIN = "[0-9 \n]*"
-_THIRD_FIELD = " [0-9]+ "
-
-
-def _line_chunks(text: str) -> Iterator[str]:
-    """``text`` in consecutive chunks of whole lines.
-
-    Each chunk but the last ends just after the first line boundary at
-    least ``_READ_CHUNK`` characters past its start, whatever the kind of
-    boundary; ``"\\r\\n"`` stays whole, so the chunks' ``splitlines()`` join
-    to the lines of ``text.splitlines()``.
-    """
-    line_break = re.compile(_LINE_BREAK)
-    start = 0
-    while start < len(text):
-        cut = line_break.search(text, start + _READ_CHUNK)
-        end = cut.end() if cut else len(text)
-        yield text[start:end]
-        start = end
-
-
-def _read_plain(chunk: str, ends: array) -> int | None:
-    """Append the ids of a plain ``chunk`` to ``ends`` in one JSON decode,
-    and return its number of lines; ``None``, with ``ends`` as it was, if
-    ``chunk`` is not plain.
-
-    A chunk is plain when every line of it is two ASCII decimal ids with no
-    leading zero, one space apart, ending in ``"\\n"``. Its lines then read
-    as one JSON array once each space and line break is a comma, and JSON's
-    integers are the ints ``int()`` reads from them. A chunk is not plain if
-    it holds any other character, a line with a third field or a last line
-    without ``"\\n"``. Nor is it when the decode fails, as an empty field (a
-    blank line, two spaces), a leading zero or an id over ``int``'s digit
-    limit makes it, or when it gives fewer than two ids a line, as a line of
-    one field does, or when an id overflows ``ends``.
-    """
-    if not chunk.endswith("\n") or not re.fullmatch(_PLAIN, chunk) or re.search(_THIRD_FIELD, chunk):
-        return None
-    try:
-        ids = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
-    except ValueError:
-        return None
-    lines = chunk.count("\n")
-    if len(ids) != 2 * lines:
-        return None
-    size = len(ends)
-    try:
-        ends.extend(ids)
-    except OverflowError:
-        del ends[size:]
-        return None
-    return lines
-
-
-def _read_lines(chunk: str, ends: array) -> int | None:
-    """Append the two ids of each edge of ``chunk`` to ``ends``, line by line,
-    and return its number of lines; ``None`` at the first line that is not
-    an edge, a comment or blank."""
-    lines = chunk.splitlines()
-    for raw in lines:
-        try:
-            a, b = raw.split()
-            ends.append(int(a))
-            ends.append(int(b))
-        except (ValueError, OverflowError):
-            # the rare lines: blank, comment or faulty
-            parts = raw.split()
-            if parts and not parts[0].startswith("#"):
-                return None
-    return len(lines)
-
-
-def from_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a validated, connected :class:`Graph`.
-
-    Format: one edge per line as two whitespace-separated 0-based vertex
-    ids; lines starting with ``#`` and blank lines are ignored; the vertex
-    count is the largest id plus one. Lines break as in ``str.splitlines``.
-
-    One pass reads the text a chunk at a time, so that no list of all its
-    lines is built, and appends each edge's two ids to one ``array`` of
-    unsigned 4-byte ids; nothing is allocated per vertex while lines are
-    read. A plain chunk, every line two ids and one space, is read in one
-    JSON decode (:func:`_read_plain`), any other chunk line by line
-    (:func:`_read_lines`). Then no id may be larger than the number of input
-    lines, for a connected graph on ``V`` vertices needs at least ``V - 1``
-    edges. Only then are the CSR columns built, and walked once,
-    :func:`~topoindices.graph._walk`: the walk names the rows that list an
-    id twice, which a self-loop or a duplicate edge (in either orientation)
-    leaves, and counts the vertices connected to vertex 0.
-
-    Any fault, a line that is not two non-negative ids below ``2**32`` or
-    one that the largest-id check or the walk finds, sends the text to one
-    more read, :func:`_first_fault`, once the columns built so far are
-    freed, and the ``ValueError`` raised names the first faulty line,
-    whatever its fault. Last, the graph must be non-empty and connected, as
-    :meth:`Graph.validate` checks.
-    """
-    columns, line_count = _read_edges(text)
-    if columns is None:
-        raise ValueError(_first_fault(text, line_count))
-    reached, repeats = _walk(*columns)
-    if repeats:
-        del columns
-        raise ValueError(_first_fault(text, line_count, repeats))
-    g = Graph._from_csr(*columns)
-    problem = _connectivity_problem(g.vertex_count, reached)
-    if problem is not None:
-        raise ValueError(problem)
-    return g
-
-
-def _read_edges(text: str) -> tuple[tuple[array, array] | None, int | None]:
-    """The CSR columns of the edges of ``text`` and its number of lines.
-
-    The columns are ``None`` at the first faulty line, and the count too,
-    for the lines after it are not read; at an id larger than the number
-    of lines, the columns alone are ``None``.
-    """
-    # unsigned, so that a negative id overflows its item as one of 2**32 does
-    ends = array("I")
-    line_count = 0
-    for chunk in _line_chunks(text):
-        lines = _read_plain(chunk, ends)
-        if lines is None:
-            lines = _read_lines(chunk, ends)
-            if lines is None:
-                return None, None
-        line_count += lines
-    top = max(ends, default=-1)
-    if top > line_count:
-        return None, line_count
-    return _csr(top + 1, ends), line_count
-
-
-def _first_fault(
-    text: str, line_count: int | None = None, flagged: Container[int] | None = None
-) -> str:
-    """The error message for the first faulty line of ``text``.
-
-    The lines are read again in order, one set of the edges seen held, each
-    edge ``(lo, hi)`` as the int ``lo * (line_count + 1) + hi``, and each
-    line's checks are made in this order: two fields, integer ids,
-    non-negative ids, no self-loop, no id larger than the number of lines,
-    not an edge seen on an earlier line. ``text`` must hold a faulty line.
-    ``line_count``, the number of lines of ``text``, is counted first when
-    not given.
-
-    ``flagged``, when given, holds the rows that list an id twice, from a
-    first read that found no other fault. A duplicate edge lists each of
-    its ends twice in the other's row, so only the edges with both ends
-    flagged are held and looked up; a self-loop is found by its line.
-    """
-    if line_count is None:
-        line_count = sum(len(chunk.splitlines()) for chunk in _line_chunks(text))
-    seen: set[int] = set()
-    lines = chain.from_iterable(map(str.splitlines, _line_chunks(text)))
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        try:
-            u, v = map(int, parts)
-        except ValueError:
-            what = "expected two vertex ids" if len(parts) != 2 else "vertex ids must be integers"
-            return f"line {lineno}: {what}, got {raw.strip()!r}"
-        if u < 0 or v < 0:
-            return f"line {lineno}: vertex ids must be non-negative, got {raw.strip()!r}"
-        if u == v:
-            return f"line {lineno}: self-loop at vertex {u}"
-        lo, hi = (u, v) if u < v else (v, u)
-        if hi > line_count:
-            return (
-                f"line {lineno}: vertex id {hi} is larger than the number of input lines "
-                f"({line_count}), so the graph is disconnected: a connected graph on "
-                f"{hi + 1} vertices needs at least {hi} edges"
-            )
-        if flagged is not None and not (lo in flagged and hi in flagged):
-            continue
-        edge = lo * (line_count + 1) + hi
-        if edge in seen:
-            return f"line {lineno}: duplicate edge {(lo, hi)}"
-        seen.add(edge)
-    raise AssertionError("edge-list text without a faulty line")
-
-
-# Slots whose lines are formatted and joined at a time, so that no
-# whole-graph list of pairs or lines is held, however long a row.
-_WRITE_BATCH = 4096
-
-
-def _edge_list_pieces(g: Graph) -> Iterator[str]:
-    """The text of :func:`to_edge_list` in pieces of at most
-    ``_WRITE_BATCH`` lines.
-
-    A piece is the lines of the rows of consecutive vertices that hold at
-    most ``_WRITE_BATCH`` slots together, each row sorted, or a part of one
-    longer row. Such a row is read in ascending order whole: as a ``range``
-    when it is one run of ids (:func:`~topoindices.graph._as_run`), so that
-    no list of its ids is held, otherwise sorted.
-    """
-    offsets, targets = g._offsets, g._targets
-    u = 0
-    while u < g.vertex_count:
-        # the rows from u's on that end within a batch of its first slot
-        end = bisect_right(offsets, offsets[u] + _WRITE_BATCH, u + 1) - 1
-        if end > u:
-            yield "".join(
-                [
-                    f"{w} {v}\n"
-                    for w in range(u, end)
-                    for v in sorted(targets[offsets[w] : offsets[w + 1]])
-                    if w < v
-                ]
-            )
-        else:
-            end = u + 1
-            row = targets[offsets[u] : offsets[end]]
-            row = _as_run(row) or sorted(row)
-            for i in range(0, len(row), _WRITE_BATCH):
-                yield "".join([f"{u} {v}\n" for v in row[i : i + _WRITE_BATCH] if u < v])
-        u = end
-
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize to edge-list text; inverse of :func:`from_edge_list`.
-
-    One ``u v`` line per edge with ``u < v``, sorted, as :meth:`Graph.edges`
-    lists them: the pieces of :func:`_edge_list_pieces`, joined.
-    """
-    return "".join(_edge_list_pieces(g))
+        return getattr(edgelist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ import enum
 import math
 
 from .graph import DEGREE, NEIGHBOR_SUM, ClassTable, Graph
-from .partition import EdgePartition, _lookup, _partition
+from .partition import EdgePartition, _lookup
 
 
 class IndexKind(enum.Enum):
@@ -94,16 +94,11 @@ def compute_index(g: Graph, kind: IndexKind) -> float:
 def compute_from_partition(p: EdgePartition, kind: IndexKind) -> float:
     """Index value from a partition table: class count times class weight.
 
-    Summed by the same exact rule as :func:`compute_index`, so a graph's
-    :func:`matching_partition` gives the same bits.
+    Summed by the same exact rule as :func:`compute_index`, so the
+    partition of a graph under the index's labeling gives the same bits.
     """
     if p.mode != kind.labeling:
         raise ValueError(
             f"{kind.value} needs a {kind.labeling} partition, got {p.mode}"
         )
     return _class_sum(kind, p.classes)
-
-
-def matching_partition(g: Graph, kind: IndexKind) -> EdgePartition:
-    """The edge partition whose mode matches the index's labeling."""
-    return _partition(g, kind.labeling)

@@ -21,21 +21,21 @@ from topoindices import (
     HANOI_MAX_N,
     Graph,
     double_wheel,
+    edgelist,
     from_edge_list,
-    generators,
     hanoi,
     to_edge_list,
 )
 from topoindices.cli import main
 from topoindices.closed_forms import FAMILIES
-from topoindices.generators import (
-    _LANE_BLOCK,
+from topoindices.edgelist import (
     _READ_CHUNK,
     _WRITE_BATCH,
     _edge_list_pieces,
     _first_fault,
     _read_lines,
 )
+from topoindices.generators import _HEAD, _LANE_BLOCK, _OFFSETS_BLOCK, _progression
 from topoindices.graph import TYPECODE, _csr
 
 
@@ -207,6 +207,20 @@ class TestHanoiLanes:
         )
 
 
+class TestProgression:
+    """Generator columns written by doubling and block adds, not item by item."""
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, 5, _HEAD, _HEAD + 1, 1000, _OFFSETS_BLOCK, _OFFSETS_BLOCK + 1, 3**9, 40_000, 3**13],
+    )
+    @pytest.mark.parametrize("start, step", [(0, 1), (2, 1), (7, 3)])
+    def test_equals_the_range(self, start, step, count):
+        column = _progression(start, step, count)
+        assert column.typecode == TYPECODE
+        assert column == array(TYPECODE, range(start, start + count * step, step))
+
+
 def retained_and_peak_bytes(build, arg):
     """A built result, the bytes it keeps, and the peak allocated building it."""
     tracemalloc.start()
@@ -324,7 +338,7 @@ class TestEdgeListMemory:
             flagged.append(args)
             return _first_fault(text, *args)
 
-        monkeypatch.setattr(generators, "_first_fault", first_fault)
+        monkeypatch.setattr(edgelist, "_first_fault", first_fault)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^line 80001: duplicate edge \\(0, 1\\)$"):
@@ -346,7 +360,7 @@ class TestEdgeListMemory:
             held.append(tracemalloc.get_traced_memory()[0])
             return _first_fault(text, *flagged)
 
-        monkeypatch.setattr(generators, "_first_fault", first_fault)
+        monkeypatch.setattr(edgelist, "_first_fault", first_fault)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="^line 20001: "):
@@ -720,7 +734,7 @@ class TestPlainChunks:
         if shuffle:
             # lines in another order, each edge in either orientation
             text = shuffled_edge_list(text, seed=5)
-        monkeypatch.setattr(generators, "_read_lines", read_lines)
+        monkeypatch.setattr(edgelist, "_read_lines", read_lines)
         assert from_edge_list(text) == double_wheel(5000)
 
     def test_comment_sends_its_chunk_alone_line_by_line(self, monkeypatch):
@@ -734,7 +748,7 @@ class TestPlainChunks:
             chunks.append(chunk)
             return _read_lines(chunk, ends)
 
-        monkeypatch.setattr(generators, "_read_lines", read_lines)
+        monkeypatch.setattr(edgelist, "_read_lines", read_lines)
         assert from_edge_list(text) == double_wheel(5000)
         assert len(chunks) == 1
         assert "# a comment\n" in chunks[0]

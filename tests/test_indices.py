@@ -12,7 +12,6 @@ from topoindices import (
     double_wheel,
     edge_term,
     hanoi,
-    matching_partition,
     neighbor_sum_partition,
 )
 from topoindices.partition import EdgePartition
@@ -141,13 +140,22 @@ class TestComputeFromPartition:
     def test_partition_equivalence(self, kind, build):
         g = build()
         direct = compute_index(g, kind)
-        from_part = compute_from_partition(matching_partition(g, kind), kind)
+        parts = {p.mode: p for p in (degree_partition(g), neighbor_sum_partition(g))}
+        from_part = compute_from_partition(parts[kind.labeling], kind)
         assert from_part == direct
 
-    def test_matching_partition_mode(self):
-        g = double_wheel(3)
-        assert matching_partition(g, IndexKind.ABC).mode == "degree"
-        assert matching_partition(g, IndexKind.ABC4).mode == "neighbor_sum"
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_published_hanoi_tables(self, kind, n):
+        # typed in, not read from the graph: the degree table, and the
+        # published neighbor-sum table plus its (9, 9) class
+        edges = 3 * (3**n - 1) // 2
+        tables = {
+            "degree": {(2, 3): 6, (3, 3): edges - 6},
+            "neighbor_sum": {(6, 8): 6, (8, 8): 3, (8, 9): 6, (9, 9): (3 ** (n + 1) - 33) // 2},
+        }
+        part = EdgePartition(kind.labeling, tables[kind.labeling])
+        assert compute_from_partition(part, kind) == compute_index(hanoi(n), kind)
 
 
 class TestOneSummationRule:
@@ -162,9 +170,10 @@ class TestOneSummationRule:
         mismatches = []
         for name, build, n in graphs:
             g = build(n)
+            parts = {p.mode: p for p in (degree_partition(g), neighbor_sum_partition(g))}
             for kind in ALL_KINDS:
                 direct = compute_index(g, kind)
-                grouped = compute_from_partition(matching_partition(g, kind), kind)
+                grouped = compute_from_partition(parts[kind.labeling], kind)
                 if grouped != direct:
                     mismatches.append((name, kind.value, grouped.hex(), direct.hex()))
         assert mismatches == []

@@ -120,8 +120,8 @@ def test_startup_leaves_out_dataclasses():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = (
         "import sys, topoindices, topoindices.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'fractions', 'decimal'}"
-        " & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'fractions', 'decimal',"
+        " 'pathlib', 'urllib.parse', 'ipaddress'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
