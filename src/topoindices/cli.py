@@ -96,8 +96,16 @@ def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, in
         from .edgelist import from_edge_list
 
         with open(args.edges, encoding="utf-8") as file:
-            text = file.read()
-        return from_edge_list(text), None, None
+            if not file.seekable():
+                # a pipe cannot be read again to name a fault: hold its text
+                return from_edge_list(file.read()), None, None
+            try:
+                return from_edge_list(file), None, None
+            except UnicodeDecodeError:
+                # name the bad byte by its offset in the file, not in a block
+                file.seek(0)
+                file.read()
+                raise
     if args.family is None or args.n is None:
         raise ValueError("either --edges or both --family and --n are required")
     return None, args.family, args.n

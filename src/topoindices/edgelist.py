@@ -3,9 +3,11 @@
 
 The format is one edge per line as two whitespace-separated 0-based vertex
 ids; lines starting with ``#`` and blank lines are ignored, and lines break
-as in ``str.splitlines``. The reader checks every line and builds a
-validated, connected :class:`~topoindices.graph.Graph`; the writer lists
-the edges of a graph, ``u < v`` and sorted, in pieces of bounded size.
+as in ``str.splitlines``. The reader takes a ``str`` or an open, seekable
+text file, reads it a block at a time, a file once and again only to name
+a fault, checks every line and builds a validated, connected
+:class:`~topoindices.graph.Graph`; the writer lists the edges of a graph,
+``u < v`` and sorted, in pieces of bounded size.
 """
 
 from __future__ import annotations
@@ -14,19 +16,22 @@ import json
 import re
 from array import array
 from bisect import bisect_right
-from collections.abc import Container, Iterator
+from collections.abc import Container, Iterable, Iterator
+from functools import partial
 from itertools import chain
+from typing import TextIO
 
 from .graph import Graph, _as_run, _connectivity_problem, _csr, _walk
 
 
-# Characters of edge-list text read at a time, so that no list of every
-# line is held: about 5000 lines, a few hundred kB of str or int objects.
+# Characters of edge-list text read at a time, so that neither the text nor
+# a list of every line is held: about 5000 lines, a few hundred kB of str or
+# int objects.
 _READ_CHUNK = 1 << 16
 
-# A line boundary of `str.splitlines`, with "\r\n" matched whole; compiled on
-# first use, so a process that reads no edge list never compiles it.
-_LINE_BREAK = "\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]"
+# The characters that end a line in `str.splitlines`, where "\r\n" ends one
+# line too.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 # The characters of a plain chunk, and a line of one with a third field.
 # Both are flat, so that matching holds no state per line; a nested group
@@ -35,21 +40,39 @@ _PLAIN = "[0-9 \n]*"
 _THIRD_FIELD = " [0-9]+ "
 
 
-def _line_chunks(text: str) -> Iterator[str]:
-    """``text`` in consecutive chunks of whole lines.
+def _line_chunks(source: str | TextIO) -> Iterator[str]:
+    """The text of ``source`` in consecutive chunks of whole lines.
 
-    Each chunk but the last ends just after the first line boundary at
-    least ``_READ_CHUNK`` characters past its start, whatever the kind of
-    boundary; ``"\\r\\n"`` stays whole, so the chunks' ``splitlines()`` join
-    to the lines of ``text.splitlines()``.
+    ``source`` is read ``_READ_CHUNK`` characters at a time, a ``str`` by
+    slicing and a text file by ``read`` from its start. Each block is cut
+    after its last ``"\\n"``, or in a block without one after its last line
+    break of another kind, and the rest carries into the next chunk; a
+    block with no line break carries whole. A ``"\\r"`` that ends a block is
+    held back, so that ``"\\r\\n"`` stays whole, and the chunks'
+    ``splitlines()`` join to the lines of the whole text's ``splitlines()``.
     """
-    line_break = re.compile(_LINE_BREAK)
-    start = 0
-    while start < len(text):
-        cut = line_break.search(text, start + _READ_CHUNK)
-        end = cut.end() if cut else len(text)
-        yield text[start:end]
-        start = end
+    size = _READ_CHUNK
+    if isinstance(source, str):
+        blocks = (source[start : start + size] for start in range(0, len(source), size))
+    else:
+        source.seek(0)
+        blocks = iter(partial(source.read, size), "")
+    rest = ""
+    for block in blocks:
+        end = len(block) - block.endswith("\r")
+        cut = block.rfind("\n", 0, end) + 1
+        if not cut:
+            cut = max(block.rfind(c, 0, end) for c in _LINE_BREAKS) + 1
+        if cut:
+            chunk = rest + block[:cut]
+            rest = block[cut:]
+            # only the chunk and its carry are held while the chunk is read
+            del block
+            yield chunk
+        else:
+            rest += block
+    if rest:
+        yield rest
 
 
 def _read_plain(chunk: str, ends: array) -> int | None:
@@ -103,15 +126,17 @@ def _read_lines(chunk: str, ends: array) -> int | None:
     return len(lines)
 
 
-def from_edge_list(text: str) -> Graph:
-    """Parse edge-list text into a validated, connected :class:`Graph`.
+def from_edge_list(source: str | TextIO) -> Graph:
+    """Parse edge-list text, a ``str`` or an open, seekable text file, into a
+    validated, connected :class:`Graph`.
 
     Format: one edge per line as two whitespace-separated 0-based vertex
     ids; lines starting with ``#`` and blank lines are ignored; the vertex
     count is the largest id plus one. Lines break as in ``str.splitlines``.
 
-    One pass reads the text a chunk at a time, so that no list of all its
-    lines is built, and appends each edge's two ids to one ``array`` of
+    One pass reads the text a chunk at a time (:func:`_line_chunks`), a file
+    from its start, so that neither the whole text nor a list of all its
+    lines is held, and appends each edge's two ids to one ``array`` of
     unsigned 4-byte ids; nothing is allocated per vertex while lines are
     read. A plain chunk, every line two ids and one space, is read in one
     JSON decode (:func:`_read_plain`), any other chunk line by line
@@ -125,17 +150,18 @@ def from_edge_list(text: str) -> Graph:
     Any fault, a line that is not two non-negative ids below ``2**32`` or
     one that the largest-id check or the walk finds, sends the text to one
     more read, :func:`_first_fault`, once the columns built so far are
-    freed, and the ``ValueError`` raised names the first faulty line,
-    whatever its fault. Last, the graph must be non-empty and connected, as
+    freed; only then is a file read again, from its start. The
+    ``ValueError`` raised names the first faulty line, whatever its fault.
+    Last, the graph must be non-empty and connected, as
     :meth:`Graph.validate` checks.
     """
-    columns, line_count = _read_edges(text)
+    columns, line_count = _read_edges(_line_chunks(source))
     if columns is None:
-        raise ValueError(_first_fault(text, line_count))
+        raise ValueError(_first_fault(_line_chunks(source), line_count))
     reached, repeats = _walk(*columns)
     if repeats:
         del columns
-        raise ValueError(_first_fault(text, line_count, repeats))
+        raise ValueError(_first_fault(_line_chunks(source), line_count, repeats))
     g = Graph._from_csr(*columns)
     problem = _connectivity_problem(g.vertex_count, reached)
     if problem is not None:
@@ -143,22 +169,23 @@ def from_edge_list(text: str) -> Graph:
     return g
 
 
-def _read_edges(text: str) -> tuple[tuple[array, array] | None, int | None]:
-    """The CSR columns of the edges of ``text`` and its number of lines.
+def _read_edges(chunks: Iterator[str]) -> tuple[tuple[array, array] | None, int]:
+    """The CSR columns of the edges of ``chunks`` and their number of lines.
 
-    The columns are ``None`` at the first faulty line, and the count too,
-    for the lines after it are not read; at an id larger than the number
-    of lines, the columns alone are ``None``.
+    The columns are ``None`` at the first faulty line, after which the
+    chunks are only counted, or at an id larger than the number of lines.
     """
     # unsigned, so that a negative id overflows its item as one of 2**32 does
     ends = array("I")
     line_count = 0
-    for chunk in _line_chunks(text):
+    for chunk in chunks:
         lines = _read_plain(chunk, ends)
         if lines is None:
             lines = _read_lines(chunk, ends)
             if lines is None:
-                return None, None
+                del ends
+                lines = sum(len(rest.splitlines()) for rest in chain([chunk], chunks))
+                return None, line_count + lines
         line_count += lines
     top = max(ends, default=-1)
     if top > line_count:
@@ -167,27 +194,24 @@ def _read_edges(text: str) -> tuple[tuple[array, array] | None, int | None]:
 
 
 def _first_fault(
-    text: str, line_count: int | None = None, flagged: Container[int] | None = None
+    chunks: Iterable[str], line_count: int, flagged: Container[int] | None = None
 ) -> str:
-    """The error message for the first faulty line of ``text``.
+    """The error message for the first faulty line of the text of ``chunks``.
 
     The lines are read again in order, one set of the edges seen held, each
     edge ``(lo, hi)`` as the int ``lo * (line_count + 1) + hi``, and each
     line's checks are made in this order: two fields, integer ids,
     non-negative ids, no self-loop, no id larger than the number of lines,
-    not an edge seen on an earlier line. ``text`` must hold a faulty line.
-    ``line_count``, the number of lines of ``text``, is counted first when
-    not given.
+    not an edge seen on an earlier line. The text must hold a faulty line,
+    and ``line_count`` is its number of lines.
 
     ``flagged``, when given, holds the rows that list an id twice, from a
     first read that found no other fault. A duplicate edge lists each of
     its ends twice in the other's row, so only the edges with both ends
     flagged are held and looked up; a self-loop is found by its line.
     """
-    if line_count is None:
-        line_count = sum(len(chunk.splitlines()) for chunk in _line_chunks(text))
     seen: set[int] = set()
-    lines = chain.from_iterable(map(str.splitlines, _line_chunks(text)))
+    lines = chain.from_iterable(map(str.splitlines, chunks))
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):

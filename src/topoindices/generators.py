@@ -113,8 +113,10 @@ def hanoi(n: int) -> Graph:
 
     Every vertex but the corners has degree 3, so the offsets are written
     directly, with no degree array: ``offsets[v]`` is ``3v`` minus the
-    number of corners below ``v``, a :func:`_progression` per run of
-    vertices between two corners, written ``_OFFSETS_BLOCK`` items at a time.
+    number of corners below ``v``. Each run of vertices between two corners
+    is written a block of up to ``_OFFSETS_BLOCK`` items at a time, as one
+    step-3 :func:`_progression` block, made once per build, plus the
+    block's first item in every lane.
     """
     _require_int(n)
     if n < 1:
@@ -140,18 +142,27 @@ def hanoi(n: int) -> Graph:
     corners = (0, (size - 1) // 2, size - 1)
     for c in reversed(corners):
         del rows[3 * c + 2]
-    # one run per corner: the vertices after it, up to the next corner
+    # one run per corner: the vertices after it, up to the next corner, a
+    # block of `lanes` items at a time, no more than the longest run holds;
+    # each block is 0, 3, 6, ..., made once, plus its first item in every
+    # lane, one big-int add
+    order = sys.byteorder
+    lanes = min(_OFFSETS_BLOCK, size // 2)
+    steps = int.from_bytes(_progression(0, 3, lanes).tobytes(), order)
+    ones = int.from_bytes(array(TYPECODE, [1]).tobytes() * lanes, order)
     offsets = array(TYPECODE, [0]) * (size + 1)
-    for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
-        for start in range(first + 1, last + 1, _OFFSETS_BLOCK):
-            end = min(start + _OFFSETS_BLOCK, last + 1)
-            offsets[start:end] = _progression(3 * start - below, 3, end - start)
+    width = offsets.itemsize
+    with memoryview(offsets).cast("B") as raw:
+        for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
+            for start in range(first + 1, last + 1, lanes):
+                block = (steps + (3 * start - below) * ones).to_bytes(lanes * width, order)
+                end = min(start + lanes, last + 1)
+                raw[start * width : end * width] = block[: (end - start) * width]
     return Graph._from_csr(offsets, rows)
 
 
 # Items of a `_progression` column written by one big-int add, and of
-# `hanoi`'s offsets written at a time, so that no run's column is held
-# beside them.
+# `hanoi`'s offsets, so that no run's column is held beside them.
 _OFFSETS_BLOCK = 1 << 14
 
 # Items of a `_progression` column written from a `range`: below a few

@@ -16,8 +16,10 @@ from topoindices import (
     Variant,
     closed_forms,
     double_wheel,
+    edgelist,
     from_edge_list,
     graph,
+    to_edge_list,
 )
 from topoindices.cli import _resolve_partition, build_parser, main
 from topoindices.closed_forms import FAMILIES
@@ -278,6 +280,49 @@ class TestEdgesInput:
         assert out == ""
         assert err.startswith("error: line 1: vertex id 100000 ")
         assert "disconnected" in err
+
+    @pytest.mark.parametrize("command", ["compute", "partition"])
+    def test_invalid_utf8_blocks_in_exits_2_without_traceback(self, tmp_path, command):
+        # the file is decoded a block at a time as it is parsed; the message
+        # still names the bad byte by its offset in the file
+        data = to_edge_list(double_wheel(10000)).encode() + b"0 \xff\n"
+        assert len(data) > 3 * edgelist._READ_CHUNK
+        with pytest.raises(UnicodeDecodeError) as info:
+            data.decode("utf-8")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoindices", command, "--edges", str(path)],
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("command", ["compute", "partition"])
+    def test_directory_exits_3(self, tmp_path, capsys, command):
+        code, out, err = run(capsys, command, "--edges", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_pipe_is_read_whole(self):
+        # a pipe cannot be read again to name a fault, so its text is held
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoindices", "compute", "--edges", "/dev/stdin"],
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            input="0 1\n1 2\n1 0\n",
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 3: duplicate edge (0, 1)\n"
 
     def test_graph_too_large_for_its_columns_exits_2(self, tmp_path, capsys, monkeypatch):
         # a limit of 3 ids and offsets stands in for 2**31 - 1

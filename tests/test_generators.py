@@ -1,9 +1,11 @@
 import hashlib
+import io
 import random
+import tempfile
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,18 @@ class TestHanoi:
         # written directly, as 3v less the number of corners below v
         assert hanoi(n)._offsets == reference_hanoi(n)._offsets
 
+    @pytest.mark.parametrize("n", range(1, HANOI_MAX_N + 1))
+    def test_offsets_as_one_progression_per_run(self, n):
+        # written a block at a time from one step-3 block made per build,
+        # byte for byte as one `_progression` per run of vertices between
+        # two corners wrote them
+        size = 3**n
+        corners = (0, (size - 1) // 2, size - 1)
+        expected = array(TYPECODE, [0]) * (size + 1)
+        for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
+            expected[first + 1 : last + 1] = _progression(3 * (first + 1) - below, 3, last - first)
+        assert hanoi(n)._offsets.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_exactly_three_degree_two_vertices(self, n):
         g = hanoi(n)
@@ -280,6 +294,16 @@ class TestMemoryLayout:
         _, _, peak = retained_and_peak_bytes(Graph.edge_classes, g)
         assert peak <= 1.05 * before
 
+    def test_csr_peak(self):
+        # 2,431,560 B at shuffled dw(20000): the cursor list and its ints,
+        # the offsets and the targets. The degree list is freed once the
+        # cursor list is summed from it, before the targets are allocated,
+        # so it is no part of the peak
+        text = shuffled_edge_list(to_edge_list(double_wheel(20000)), seed=7)
+        ends = array("I", map(int, text.split()))
+        _, _, peak = retained_and_peak_bytes(lambda ends: _csr(40001, ends), ends)
+        assert peak <= 1.02 * 2_431_560
+
     def test_hanoi_build_and_classes_keep_near_the_graph(self):
         # hanoi(12) kept 17,006,336 B with 8-byte items. Its build peaked at
         # 1.25x that while the old level, a degree array and the offsets
@@ -334,9 +358,9 @@ class TestEdgeListMemory:
         text = to_edge_list(double_wheel(20000)) + "1 0\n"
         flagged = []
 
-        def first_fault(text, *args):
+        def first_fault(chunks, *args):
             flagged.append(args)
-            return _first_fault(text, *args)
+            return _first_fault(chunks, *args)
 
         monkeypatch.setattr(edgelist, "_first_fault", first_fault)
         tracemalloc.start()
@@ -352,23 +376,44 @@ class TestEdgeListMemory:
     @pytest.mark.parametrize("fault", ["1 0\n", "1 x\n", "0 99999\n"])
     def test_fault_reread_holds_no_column(self, monkeypatch, fault):
         # each fault path of the first read, the walk, a faulty line and
-        # the largest id, frees its columns before the text is read again
+        # the largest id, frees its columns before the text is read again,
+        # and reads no text of a file before then
         text = to_edge_list(double_wheel(5000)) + fault
+        file = io.StringIO(text)
         held = []
 
-        def first_fault(text, *flagged):
+        def first_fault(chunks, *flagged):
             held.append(tracemalloc.get_traced_memory()[0])
-            return _first_fault(text, *flagged)
+            return _first_fault(chunks, *flagged)
 
         monkeypatch.setattr(edgelist, "_first_fault", first_fault)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="^line 20001: "):
-                from_edge_list(text)
+            for source in (text, file):
+                with pytest.raises(ValueError, match="^line 20001: "):
+                    from_edge_list(source)
         finally:
             tracemalloc.stop()
         # the graph's columns alone take 200 kB
-        assert held[0] < 20_000
+        assert len(held) == 2
+        assert max(held) < 20_000
+
+    def test_file_parse_holds_no_text(self, tmp_path):
+        # shuffled dw(20000), 766,682 characters: read whole and then
+        # parsed, as `--edges` did, it peaked at 3,914,748 B; a file read a
+        # block at a time peaks at 3,146,444 B
+        text = shuffled_edge_list(to_edge_list(double_wheel(20000)), seed=7)
+        path = tmp_path / "dw.txt"
+        path.write_text(text, encoding="utf-8")
+
+        def parse(read_whole):
+            with open(path, encoding="utf-8") as file:
+                return from_edge_list(file.read() if read_whole else file)
+
+        _, _, text_peak = retained_and_peak_bytes(parse, True)
+        g, _, file_peak = retained_and_peak_bytes(parse, False)
+        assert g == double_wheel(20000)
+        assert file_peak <= text_peak - 0.8 * len(text)
 
     def test_write_peak(self):
         _, _, peak = retained_and_peak_bytes(to_edge_list, double_wheel(20000))
@@ -462,7 +507,8 @@ class TestEdgeListBytes:
         assert sha256(capsys.readouterr().out) == digest
 
     def test_shuffled_rows_written_sorted(self, shuffled):
-        assert to_edge_list(from_edge_list(shuffled)) == to_edge_list(double_wheel(20000))
+        for g in parse_outcomes(shuffled):
+            assert to_edge_list(g) == to_edge_list(double_wheel(20000))
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -488,7 +534,7 @@ class TestEdgeListBytes:
         # the text is split into lines a chunk at a time; a chunk boundary
         # must never change where a line ends or how lines are counted
         text = shuffled.replace("\n", newline)
-        assert from_edge_list(text) == from_edge_list(shuffled)
+        assert parse_outcomes(text) == [from_edge_list(shuffled)] * 3
         assert_same_outcome(text + "0 1" + newline + "5 5")
 
     @pytest.mark.parametrize("last", ["1 0", "9 9", "0 x", "0 90000"])
@@ -515,17 +561,102 @@ class TestEdgeListBytes:
         assert_same_outcome(text)
 
 
+# Characters read at a time from an io.StringIO of edge-list text: so few
+# that most texts span many blocks, and odd, so that blocks end anywhere in
+# a line.
+SMALL_READ_CHUNK = 61
+
+
+def parse_outcomes(text):
+    """``from_edge_list`` of ``text`` as a ``str``, as a file of it and as an
+    ``io.StringIO`` of it read ``SMALL_READ_CHUNK`` characters at a time: for
+    each, the graph, or the message of the ``ValueError`` raised."""
+
+    def outcome(source):
+        try:
+            return from_edge_list(source)
+        except ValueError as error:
+            return str(error)
+
+    outcomes = [outcome(text)]
+    # newline="" reads the text back with its line breaks untranslated
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as file:
+        file.write(text)
+        outcomes.append(outcome(file))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(edgelist, "_READ_CHUNK", SMALL_READ_CHUNK)
+        outcomes.append(outcome(io.StringIO(text, newline="")))
+    return outcomes
+
+
+class TestEdgeListSources:
+    """A file and an ``io.StringIO`` read a block at a time give the graph
+    or the exact error of the whole text, wherever a block ends."""
+
+    @pytest.fixture(scope="class")
+    def body(self):
+        return shuffled_edge_list(to_edge_list(double_wheel(300)), seed=3)
+
+    @pytest.mark.parametrize("chunk", [SMALL_READ_CHUNK, _READ_CHUNK])
+    @pytest.mark.parametrize("last", ["", "5 5\r\n"])
+    def test_crlf_split_across_blocks(self, monkeypatch, body, chunk, last):
+        # a comment fills the first block up to the "\r" of its "\r\n"
+        text = "#" * (chunk - 1) + "\r\n" + body.replace("\n", "\r\n") + last
+        assert text[chunk - 1 : chunk + 1] == "\r\n"
+        monkeypatch.setattr(edgelist, "_READ_CHUNK", chunk)
+        assert_same_outcome(text)
+
+    @pytest.mark.parametrize("newline", ["\r", "\u2028", "\x85"])
+    @pytest.mark.parametrize("last", ["", "0 x"])
+    def test_other_line_breaks(self, body, newline, last):
+        assert_same_outcome((body + last).replace("\n", newline))
+
+    @pytest.mark.parametrize(
+        "line", ["# " + "x" * 3 * SMALL_READ_CHUNK, " " * 3 * SMALL_READ_CHUNK, "0 " + "1" * 200]
+    )
+    def test_line_longer_than_a_block(self, body, line):
+        lines = body.splitlines(keepends=True)
+        for i in (0, len(lines) // 2, len(lines)):
+            assert_same_outcome("".join([*lines[:i], line + "\n", *lines[i:]]))
+        assert_same_outcome(body + line)
+
+    @pytest.mark.parametrize("text", ["", "\n", "# only a comment", "0 1", "0 1\n1 2"])
+    def test_short_texts_without_a_last_line_break(self, text):
+        assert_same_outcome(text)
+
+    def test_no_last_line_break(self, body):
+        assert_same_outcome(body.rstrip("\n"))
+
+    @pytest.mark.parametrize(
+        "last, reads", [("", 1), ("0 x\n", 2), ("1 0\n", 2), ("0 99999\n", 2)]
+    )
+    def test_file_read_again_only_on_a_fault(self, last, reads):
+        # each read starts at the file's start; a fault on a line, at the
+        # largest id or in the walk sends it to one more read
+        starts = []
+
+        class File(io.StringIO):
+            def seek(self, *args):
+                starts.append(args)
+                return super().seek(*args)
+
+        file = File(to_edge_list(double_wheel(300)) + last)
+        if last:
+            with pytest.raises(ValueError, match="^line 1201: "):
+                from_edge_list(file)
+        else:
+            assert from_edge_list(file) == double_wheel(300)
+        assert starts == [(0,)] * reads
+
+
 def assert_same_outcome(text):
-    """``from_edge_list`` returns the set-based reference's graph, or raises
-    its exact error."""
+    """``from_edge_list``, of the text and of a file of it, returns the
+    set-based reference's graph, or raises its exact error."""
     try:
         expected = reference_from_edge_list(text)
     except ValueError as error:
-        with pytest.raises(ValueError) as info:
-            from_edge_list(text)
-        assert str(info.value) == str(error)
-    else:
-        assert from_edge_list(text) == expected
+        expected = str(error)
+    assert parse_outcomes(text) == [expected] * 3
 
 
 # Ids and lines that JSON, int() and str.split() could read apart: a plain
