@@ -107,6 +107,16 @@ class TestDoubleWheel:
             "8aa93644066f419a9a74d9d95af7934b45951a65cc121725604ad54aebf12372"
         )
 
+    def test_cap_scale_row_order_pinned(self):
+        # double_wheel(100_000), two rings of 16384-item blocks and a ragged last one
+        g = double_wheel(100_000)
+        assert column_digest(g._offsets) == (
+            "99a196f26661a31c3a0c2d0fdb46b654825ba3bb607b818b69bae51a5d82e93d"
+        )
+        assert column_digest(g._targets) == (
+            "595bafe009c799555599aa827cde722b57ff5fc7f5ca7fb195cbb6f8ce1e5c0c"
+        )
+
     def test_ring_structure(self):
         # hub 0, rings 1..n and n+1..2n, consecutive around each cycle
         g = double_wheel(4)
@@ -219,6 +229,27 @@ class TestHanoiLanes:
         assert column_digest(g._targets) == (
             "279e1a566c16d6561644e64d835752b74fc12d7ebb5ae910914d4fefb8bde3b4"
         )
+
+    @pytest.mark.parametrize(
+        "n, offsets, targets",
+        [
+            (
+                12,
+                "36c572567766dd00d1891c3ec5dea95bd0a54d3c0e79ce766e1a48cf36a1d1c0",
+                "e3daa0e81d254535edb6a10e2f58773f68c02bcf7f50c99dc1113b559446c9ee",
+            ),
+            (
+                13,
+                "75884a46435bcbdf0a8da295f2cea4acf243900dd3a492410f49e4cd6ef2e698",
+                "03ee684b03a1e75cfbe203b2f5bc02cf682276b1381ea5983fd646ded2a2fca3",
+            ),
+        ],
+    )
+    def test_cap_row_order_pinned(self, n, offsets, targets):
+        # the CSR columns of the two largest builds item for item
+        g = hanoi(n)
+        assert column_digest(g._offsets) == offsets
+        assert column_digest(g._targets) == targets
 
 
 class TestProgression:
