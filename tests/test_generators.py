@@ -37,7 +37,7 @@ from topoindices.edgelist import (
     _first_fault,
     _read_lines,
 )
-from topoindices.generators import _HEAD, _LANE_BLOCK, _OFFSETS_BLOCK, _progression
+from topoindices.generators import _BLOCK, _progression_writer
 from topoindices.graph import TYPECODE, _csr
 
 
@@ -157,15 +157,33 @@ class TestHanoi:
 
     @pytest.mark.parametrize("n", range(1, HANOI_MAX_N + 1))
     def test_offsets_as_one_progression_per_run(self, n):
-        # written a block at a time from one step-3 block made per build,
-        # byte for byte as one `_progression` per run of vertices between
-        # two corners wrote them
+        # written a block at a time from one ramp made per build, byte for
+        # byte the step-3 range of each run of vertices between two corners
         size = 3**n
         corners = (0, (size - 1) // 2, size - 1)
         expected = array(TYPECODE, [0]) * (size + 1)
         for below, (first, last) in enumerate(pairwise((*corners, size)), start=1):
-            expected[first + 1 : last + 1] = _progression(3 * (first + 1) - below, 3, last - first)
+            expected[first + 1 : last + 1] = array(
+                TYPECODE, range(3 * (first + 1) - below, 3 * (last + 1) - below, 3)
+            )
         assert hanoi(n)._offsets.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rows_follow_the_digit_rule(self, n):
+        # per vertex, from its base-3 digits (disc i's peg is digit i, the
+        # smallest disc first): the smallest disc to the lower, then the
+        # higher, other peg; then the first disc off its peg to the third
+        # peg, which a corner, every disc on one peg, does not have
+        g = hanoi(n)
+        for v in range(3**n):
+            pegs = [v // 3 ** (n - 1 - i) % 3 for i in range(n)]
+            a = pegs[0]
+            row = [v + (b - a) * 3 ** (n - 1) for b in (0, 1, 2) if b != a]
+            off = [i for i in range(1, n) if pegs[i] != a]
+            if off:
+                i = off[0]
+                row.append(v + (3 - a - 2 * pegs[i]) * 3 ** (n - 1 - i))
+            assert g._targets[g._offsets[v] : g._offsets[v + 1]].tolist() == row
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_exactly_three_degree_two_vertices(self, n):
@@ -200,21 +218,22 @@ class TestHanoi:
 
 
 class TestHanoiLanes:
-    """Each level is rewritten a block of ``_LANE_BLOCK`` bytes at a time."""
+    """Each run is written a block of ``_BLOCK`` items at a time."""
 
     def test_ragged_multi_block_levels_match_reference(self):
-        n = 10
-        for k in (n - 1, n):
-            level_bytes = 3 * 3**k * array(TYPECODE).itemsize
-            # several blocks, the last one ragged
-            assert level_bytes > 2 * _LANE_BLOCK
-            assert level_bytes % _LANE_BLOCK != 0
-        assert hanoi(n) == reference_hanoi(n)
+        for n in (10, 11):
+            run = 3 ** (n - 1)
+            # a run of the smallest disc spans more than one block, the last
+            # one ragged, and the middle one holds the middle corner
+            assert run > _BLOCK
+            assert run % _BLOCK != 0
+            assert run <= (3**n - 1) // 2 < 2 * run
+            assert hanoi(n) == reference_hanoi(n)
 
     def test_lanes_have_headroom_at_the_caps(self):
         # every id and offset of hanoi(HANOI_MAX_N) is below 3**(HANOI_MAX_N + 1),
         # and of double_wheel(DW_MAX_N) at most 8 * DW_MAX_N; below the sign
-        # bit, no lane of `_triple_and_shift` or `_degree_column` carries
+        # bit, no lane of `_progression_writer` or `_degree_column` carries
         # into or borrows from the next
         limit = 2 ** (8 * array(TYPECODE).itemsize - 1)
         assert 3 ** (HANOI_MAX_N + 1) < limit
@@ -253,17 +272,29 @@ class TestHanoiLanes:
 
 
 class TestProgression:
-    """Generator columns written by doubling and block adds, not item by item."""
+    """Generator columns written a block at a time from one ramp, not item by item."""
+
+    @pytest.fixture(scope="class")
+    def write(self):
+        return _progression_writer(_BLOCK)
 
     @pytest.mark.parametrize(
         "count",
-        [0, 1, 5, _HEAD, _HEAD + 1, 1000, _OFFSETS_BLOCK, _OFFSETS_BLOCK + 1, 3**9, 40_000, 3**13],
+        [0, 1, 5, 255, 256, 257, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3**9, 40_000, 3**13],
     )
     @pytest.mark.parametrize("start, step", [(0, 1), (2, 1), (7, 3)])
-    def test_equals_the_range(self, start, step, count):
-        column = _progression(start, step, count)
-        assert column.typecode == TYPECODE
-        assert column == array(TYPECODE, range(start, start + count * step, step))
+    def test_equals_the_range(self, write, start, step, count):
+        # every stride-th item from a non-zero position; the items around
+        # and between them keep their values
+        pos = 5
+        for stride in (1, 3):
+            column = array(TYPECODE, [-1]) * (pos + count * stride + 4)
+            expected = array(TYPECODE, column)
+            expected[pos : pos + count * stride : stride] = array(
+                TYPECODE, range(start, start + count * step, step)
+            )
+            write(column, pos, stride, start, step, count)
+            assert column == expected
 
 
 def retained_and_peak_bytes(build, arg):
