@@ -120,8 +120,8 @@ def _hanoi_moves(n: int) -> Iterator[tuple[int, int, int, int]]:
     """The moves of ``hanoi(n)`` as runs ``(lo, hi, slot, shift)``: slot
     ``slot`` of every vertex ``v`` in ``range(lo, hi)`` is ``v + shift``.
 
-    Disc ``i``, the (i+1)-th smallest, is digit ``n - 1 - i`` of an id, of
-    weight ``3**(n - 1 - i)``, so moving it from peg ``c`` to peg ``t``
+    Disc ``i``, counting from 0 for the smallest, has place value
+    ``3**(n - 1 - i)`` in an id, so moving it from peg ``c`` to peg ``t``
     adds ``(t - c) * 3**(n - 1 - i)``.
     """
     third = 3 ** (n - 1)
@@ -131,7 +131,7 @@ def _hanoi_moves(n: int) -> Iterator[tuple[int, int, int, int]]:
             yield a * third, (a + 1) * third, slot, (b - a) * third
         for i in range(1, n):
             weight = 3 ** (n - 1 - i)
-            # discs 0..i-1 on peg a, disc i on peg c
+            # discs 0..i-1 on peg a, disc i on peg c, moved to peg 3 - a - c
             prefix = a * (3**i - 1) // 2 * 3 * weight
             for c in others:
                 lo = prefix + c * weight
@@ -152,16 +152,18 @@ def _progression_writer(lanes: int) -> Callable[[array, int, int, int, int, int]
     byte order of the array: the first block is ``ramp * step`` plus
     ``first`` in every lane, and each further block the one before plus its
     span in every lane. ``ramp``, the lanes ``0, 1, ..., lanes - 1``, is
-    made once per writer by doubling: the items so far plus their number in
-    every lane are the next as many. ``first`` and ``step`` must be
-    non-negative and every lane of every block, past ``count`` included,
-    below ``2**31``, so that no lane carries into the next.
+    made once per writer: its first 256 items from a ``range``, which is
+    cheaper for a small graph, and the rest by doubling, the items so far
+    plus their number in every lane being the next as many. ``first`` and
+    ``step`` must be non-negative and every lane of every block, past
+    ``count`` included, below ``2**31``, so that no lane carries into the
+    next.
     """
     order = sys.byteorder
     one = array(TYPECODE, [1]).tobytes()
     width = len(one)
     size = lanes * width
-    raw = array(TYPECODE, [0]).tobytes()
+    raw = array(TYPECODE, range(min(lanes, 256))).tobytes()
     while len(raw) < size:
         part = min(len(raw), size - len(raw))
         shift = len(raw) // width * int.from_bytes(one * (part // width), order)

@@ -234,10 +234,12 @@ class TestHanoiLanes:
         # every id and offset of hanoi(HANOI_MAX_N) is below 3**(HANOI_MAX_N + 1),
         # and of double_wheel(DW_MAX_N) at most 8 * DW_MAX_N; below the sign
         # bit, no lane of `_progression_writer` or `_degree_column` carries
-        # into or borrows from the next
+        # into or borrows from the next, nor does a writer block's lane past
+        # the end of its run, at most 3 * _BLOCK above the run's last item
         limit = 2 ** (8 * array(TYPECODE).itemsize - 1)
         assert 3 ** (HANOI_MAX_N + 1) < limit
         assert 8 * DW_MAX_N + 1 < limit
+        assert max(3 ** (HANOI_MAX_N + 1), 8 * DW_MAX_N + 1) + 3 * _BLOCK < limit
 
     def test_row_order_pinned(self):
         # the CSR columns of hanoi(11) item for item, rows in builder order
