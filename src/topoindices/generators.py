@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from itertools import pairwise
 
 from .graph import TYPECODE, Graph
@@ -63,20 +63,19 @@ def double_wheel(n: int) -> Graph:
     if n > DW_MAX_N:
         raise ValueError(f"double_wheel size cap is n <= {DW_MAX_N}, got {n}")
     ring = 2 * n
-    write = _progression_writer(min(_BLOCK, ring + 1))
     # one allocation; the hub slot of each ring row stays 0
     targets = array(TYPECODE, [0]) * (4 * ring)
-    write(targets, 0, 1, 1, 1, ring)
+    _write(targets, 0, 1, 1, 1, ring)
     # ring vertex v = 1..2n: previous v - 1, next v + 1, wrapped within its cycle
-    write(targets, ring + 1, 3, 0, 1, ring)
-    write(targets, ring + 2, 3, 2, 1, ring)
+    _write(targets, ring + 1, 3, 0, 1, ring)
+    _write(targets, ring + 2, 3, 2, 1, ring)
     for first in (1, n + 1):
         last = first + n - 1
         targets[ring + 3 * first - 2] = last
         targets[ring + 3 * last - 1] = first
     # 0, then ring, ring + 3, ..., 4 * ring: the hub's row, then 3 slots a vertex
     offsets = array(TYPECODE, [0]) * (ring + 2)
-    write(offsets, 1, 1, ring, 3, ring + 1)
+    _write(offsets, 1, 1, ring, 3, ring + 1)
     return Graph._from_csr(offsets, targets)
 
 
@@ -101,89 +100,91 @@ def hanoi(n: int) -> Graph:
     if n > HANOI_MAX_N:
         raise ValueError(f"hanoi size cap is n <= {HANOI_MAX_N}, got {n}")
     size = 3**n
-    write = _progression_writer(min(_BLOCK, size // 3))
-    # the vertices with 0, 1, 2 and 3 corners below them
-    bands = tuple(enumerate(pairwise((0, 1, (size + 1) // 2, size, size + 1))))
     offsets = array(TYPECODE, [0]) * (size + 1)
-    for below, (lo, hi) in bands:
-        write(offsets, lo, 1, 3 * lo - below, 3, hi - lo)
+    # the vertices with 0, 1, 2 and 3 corners below them
+    for below, (lo, hi) in enumerate(pairwise((0, 1, (size + 1) // 2, size, size + 1))):
+        _write(offsets, lo, 1, 3 * lo - below, 3, hi - lo)
     targets = array(TYPECODE, [0]) * (3 * size - 3)
-    for lo, hi, slot, shift in _hanoi_moves(n):
-        for below, (start, end) in bands:
-            first, last = max(lo, start), min(hi, end)
-            if first < last:
-                write(targets, 3 * first - below + slot, 3, first + shift, 1, last - first)
+    for lo, hi, below, slot, shift in _hanoi_moves(n):
+        _write(targets, 3 * lo - below + slot, 3, lo + shift, 1, hi - lo)
     return Graph._from_csr(offsets, targets)
 
 
-def _hanoi_moves(n: int) -> Iterator[tuple[int, int, int, int]]:
-    """The moves of ``hanoi(n)`` as runs ``(lo, hi, slot, shift)``: slot
-    ``slot`` of every vertex ``v`` in ``range(lo, hi)`` is ``v + shift``.
+def _hanoi_moves(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """The moves of ``hanoi(n)`` as runs ``(lo, hi, below, slot, shift)``:
+    every vertex ``v`` in ``range(lo, hi)`` has ``below`` corners below it,
+    and slot ``slot`` of its row is ``v + shift``.
 
     Disc ``i``, counting from 0 for the smallest, has place value
     ``3**(n - 1 - i)`` in an id, so moving it from peg ``c`` to peg ``t``
-    adds ``(t - c) * 3**(n - 1 - i)``.
+    adds ``(t - c) * 3**(n - 1 - i)``. The ids with the smallest disc on
+    peg ``a`` hold corner ``a``, every disc on peg ``a``: the ids up to it
+    have ``a`` corners below them and the ids past it ``a + 1``.
     """
     third = 3 ** (n - 1)
     for a in (0, 1, 2):
         others = [p for p in (0, 1, 2) if p != a]
+        past = a * (3 * third - 1) // 2 + 1
         for slot, b in enumerate(others):
-            yield a * third, (a + 1) * third, slot, (b - a) * third
+            yield a * third, past, a, slot, (b - a) * third
+            yield past, (a + 1) * third, a + 1, slot, (b - a) * third
         for i in range(1, n):
             weight = 3 ** (n - 1 - i)
-            # discs 0..i-1 on peg a, disc i on peg c, moved to peg 3 - a - c
+            # discs 0..i-1 on peg a, disc i on peg c, moved to peg 3 - a - c;
+            # the run lies past corner a iff c > a
             prefix = a * (3**i - 1) // 2 * 3 * weight
             for c in others:
                 lo = prefix + c * weight
-                yield lo, lo + weight, 2, (3 - a - 2 * c) * weight
+                yield lo, lo + weight, a + (c > a), 2, (3 - a - 2 * c) * weight
 
 
-# Items of a column written by one big-int add at most, so that a block and
-# the ramp it is made from stay small beside the columns they write.
+# Items of a column written by one big-int add at most, so that a block
+# stays small beside the columns it writes.
 _BLOCK = 1 << 14
+_WIDTH = array(TYPECODE).itemsize
+# every lane 1: its lanes are alike, so its low lanes are its first ones in
+# either byte order
+_ONES = int.from_bytes(array(TYPECODE, [1]) * _BLOCK, sys.byteorder)
 
 
-def _progression_writer(lanes: int) -> Callable[[array, int, int, int, int, int], None]:
-    """``write(column, pos, stride, first, step, count)``, which sets
-    ``column[pos + i * stride] = first + i * step`` for every ``i < count``.
+def _ramp() -> bytes:
+    # the items 0, 1, ..., _BLOCK - 1 in the array's byte order: 256 from a
+    # range, then by doubling, the items so far plus their number in every
+    # lane being the next as many, which is cheaper than a range of them all
+    raw = array(TYPECODE, range(256)).tobytes()
+    while len(raw) < _BLOCK * _WIDTH:
+        lanes = int.from_bytes(raw, sys.byteorder) + len(raw) // _WIDTH * (_ONES & (1 << 8 * len(raw)) - 1)
+        raw += lanes.to_bytes(len(raw), sys.byteorder)
+    return raw
 
-    A run is written a block of at most ``lanes`` items at a time, with
-    big-int lane arithmetic on the items read as one integer in the native
-    byte order of the array: the first block is ``ramp * step`` plus
-    ``first`` in every lane, and each further block the one before plus its
-    span in every lane. ``ramp``, the lanes ``0, 1, ..., lanes - 1``, is
-    made once per writer: its first 256 items from a ``range``, which is
-    cheaper for a small graph, and the rest by doubling, the items so far
-    plus their number in every lane being the next as many. ``first`` and
+
+_RAMP = _ramp()
+
+
+def _write(column: array, pos: int, stride: int, first: int, step: int, count: int) -> None:
+    """Set ``column[pos + i * stride] = first + i * step`` for every ``i < count``.
+
+    The run is written a block of at most ``_BLOCK`` items at a time, with
+    big-int lane arithmetic on the items read as one integer in the array's
+    byte order: the first block is the ramp ``0, 1, 2, ...`` times ``step``
+    plus ``first`` in every lane, and each further block the one before plus
+    its span in every lane. A run of fewer items takes the first bytes of
+    ``_RAMP``, which are its first lanes in either byte order; a mask of the
+    low bits would take its last lanes on a big-endian host. ``first`` and
     ``step`` must be non-negative and every lane of every block, past
     ``count`` included, below ``2**31``, so that no lane carries into the
     next.
     """
     order = sys.byteorder
-    one = array(TYPECODE, [1]).tobytes()
-    width = len(one)
-    size = lanes * width
-    raw = array(TYPECODE, range(min(lanes, 256))).tobytes()
-    while len(raw) < size:
-        part = min(len(raw), size - len(raw))
-        shift = len(raw) // width * int.from_bytes(one * (part // width), order)
-        raw += (int.from_bytes(raw[:part], order) + shift).to_bytes(part, order)
-    ramp = int.from_bytes(raw, order)
-    ones = int.from_bytes(one * lanes, order)
-
-    def write(column: array, pos: int, stride: int, first: int, step: int, count: int) -> None:
-        # a run shorter than the ramp takes only its own lanes of it
-        items = min(lanes, count)
-        low = (1 << 8 * width * items) - 1
-        value = first * (ones & low) + (ramp & low) * step
-        span = items * step * (ones & low)
-        for done in range(0, count, lanes):
-            block = array(TYPECODE, value.to_bytes(items * width, order)[: (count - done) * width])
-            start = pos + done * stride
-            column[start : start + len(block) * stride : stride] = block
-            value += span
-
-    return write
+    size = min(count, _BLOCK) * _WIDTH
+    ones = _ONES & (1 << 8 * size) - 1
+    value = first * ones + step * int.from_bytes(_RAMP[:size], order)
+    span = size // _WIDTH * step * ones
+    for done in range(0, count, _BLOCK):
+        block = array(TYPECODE, value.to_bytes(size, order)[: (count - done) * _WIDTH])
+        start = pos + done * stride
+        column[start : start + len(block) * stride : stride] = block
+        value += span
 
 
 def __getattr__(name: str):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import sys
 import tempfile
 import tracemalloc
 from array import array
@@ -37,7 +38,8 @@ from topoindices.edgelist import (
     _first_fault,
     _read_lines,
 )
-from topoindices.generators import _BLOCK, _progression_writer
+from topoindices import generators
+from topoindices.generators import _BLOCK, _write
 from topoindices.graph import TYPECODE, _csr
 
 
@@ -157,7 +159,7 @@ class TestHanoi:
 
     @pytest.mark.parametrize("n", range(1, HANOI_MAX_N + 1))
     def test_offsets_as_one_progression_per_run(self, n):
-        # written a block at a time from one ramp made per build, byte for
+        # written a block at a time from one ramp, byte for
         # byte the step-3 range of each run of vertices between two corners
         size = 3**n
         corners = (0, (size - 1) // 2, size - 1)
@@ -233,7 +235,7 @@ class TestHanoiLanes:
     def test_lanes_have_headroom_at_the_caps(self):
         # every id and offset of hanoi(HANOI_MAX_N) is below 3**(HANOI_MAX_N + 1),
         # and of double_wheel(DW_MAX_N) at most 8 * DW_MAX_N; below the sign
-        # bit, no lane of `_progression_writer` or `_degree_column` carries
+        # bit, no lane of `_write` or `_degree_column` carries
         # into or borrows from the next, nor does a writer block's lane past
         # the end of its run, at most 3 * _BLOCK above the run's last item
         limit = 2 ** (8 * array(TYPECODE).itemsize - 1)
@@ -276,16 +278,12 @@ class TestHanoiLanes:
 class TestProgression:
     """Generator columns written a block at a time from one ramp, not item by item."""
 
-    @pytest.fixture(scope="class")
-    def write(self):
-        return _progression_writer(_BLOCK)
-
     @pytest.mark.parametrize(
         "count",
         [0, 1, 5, 255, 256, 257, 1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3**9, 40_000, 3**13],
     )
     @pytest.mark.parametrize("start, step", [(0, 1), (2, 1), (7, 3)])
-    def test_equals_the_range(self, write, start, step, count):
+    def test_equals_the_range(self, start, step, count):
         # every stride-th item from a non-zero position; the items around
         # and between them keep their values
         pos = 5
@@ -295,8 +293,25 @@ class TestProgression:
             expected[pos : pos + count * stride : stride] = array(
                 TYPECODE, range(start, start + count * step, step)
             )
-            write(column, pos, stride, start, step, count)
+            _write(column, pos, stride, start, step, count)
             assert column == expected
+
+    @pytest.mark.parametrize("count", [1, 5, 257, _BLOCK - 1, _BLOCK + 1])
+    def test_either_byte_order(self, monkeypatch, count):
+        # a host of the other byte order, whose items are these byte-swapped:
+        # a run shorter than a block starts at its first lane, not its last
+        other = "big" if sys.byteorder == "little" else "little"
+        ramp = array(TYPECODE, generators._RAMP)
+        ramp.byteswap()
+        monkeypatch.setattr(sys, "byteorder", other)
+        monkeypatch.setattr(generators, "_RAMP", ramp.tobytes())
+        column = array(TYPECODE, [0]) * (3 * count + 2)
+        _write(column, 1, 3, 7, 3, count)
+        monkeypatch.undo()
+        column.byteswap()
+        expected = array(TYPECODE, [0]) * len(column)
+        expected[1 : 1 + 3 * count : 3] = array(TYPECODE, range(7, 7 + 3 * count, 3))
+        assert column == expected
 
 
 def retained_and_peak_bytes(build, arg):
