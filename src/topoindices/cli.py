@@ -126,14 +126,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _compute_records(args: argparse.Namespace) -> list[dict]:
-    graph, family, n = _load_source(args)
-    if args.method in ("closed", "both") and family is None:
-        raise ValueError("closed forms exist only for generated families, not --edges input")
+    # the flags are checked before any edge list is read
     kinds = list(IndexKind) if args.index == "all" else [IndexKind.parse(args.index)]
     variant = Variant.parse(args.variant)
+    if args.method in ("closed", "both") and args.edges is not None:
+        raise ValueError("closed forms exist only for generated families, not --edges input")
     if args.method == "both":
         check_tolerance(args.tol)
 
+    graph, family, n = _load_source(args)
     if graph is None and args.method in ("brute", "both"):
         graph = get_family(family).build(n)
 

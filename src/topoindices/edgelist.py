@@ -252,9 +252,11 @@ def _edge_list_pieces(g: Graph) -> Iterator[str]:
 
     A piece is the lines of the rows of consecutive vertices that hold at
     most ``_WRITE_BATCH`` slots together, each row sorted, or a part of one
-    longer row. Such a row is read in ascending order whole: as a ``range``
-    when it is one run of ids (:func:`~topoindices.graph._as_run`), so that
-    no list of its ids is held, otherwise sorted.
+    longer row. Such a row is read in ascending order whole: as the
+    ``range`` of its span when it lists every id of it but, at most, its
+    own (:func:`~topoindices.graph._as_run`), so that no list of its ids is
+    held, otherwise sorted; either way only the ids above its own are
+    written.
     """
     offsets, targets = g._offsets, g._targets
     u = 0
@@ -273,7 +275,9 @@ def _edge_list_pieces(g: Graph) -> Iterator[str]:
         else:
             end = u + 1
             row = targets[offsets[u] : offsets[end]]
-            row = _as_run(row) or sorted(row)
+            # a span's range holds u itself when the row skips it, and the
+            # lines keep only the ids above u
+            row = _as_run(row, u) or sorted(row)
             for i in range(0, len(row), _WRITE_BATCH):
                 yield "".join([f"{u} {v}\n" for v in row[i : i + _WRITE_BATCH] if u < v])
         u = end

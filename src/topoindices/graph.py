@@ -36,19 +36,21 @@ the one derived value that is cached, on first use.
 The tables are counted by exception. A vertex's label depends only on the
 degrees of the vertex and of its neighbors: with ``d0`` the most common
 degree, a neighbor sum is ``d0`` per neighbor, corrected by ``deg(u) - d0``
-for each neighbor ``u`` of another degree. A row of such a ``u`` that is one
-run of ids, as the double wheel's hub row is, adds its correction to an
-interval of ids, and each stretch of vertices under one total correction is
-labeled at once; only the targets of the other such rows have their sums
-read from their own rows. Only the rows of vertices off the most common
-label are walked edge by edge, a run row with one count of its slice of
-labels, and the rest of the edges are counted from the totals. In
-``hanoi(n)`` that is the three corners and their six neighbors out of
-``3**n`` vertices, in the double wheel the hub alone; in a graph of
-scattered degrees it is nearly every vertex, and the count costs about what
-counting every slot would. Besides the two columns, the count holds a
-degree and a label id per vertex, one byte each while they fit in a byte:
-in ``hanoi(n)``, two bytes per vertex against the graph's 16.
+for each neighbor ``u`` of another degree. A row of such a ``u`` that lists
+every id of its span but, at most, ``u`` itself, as the double wheel's hub
+row does whatever the hub's id, adds its correction to that interval of
+ids, and each stretch of vertices under one total correction is labeled at
+once; ``u``'s own label comes from the offsets alone. Only the targets of
+the other such rows have their sums read from their own rows. Only the
+rows of vertices off the most common label are walked edge by edge, a span
+row with one count of its slice of labels, and the rest of the edges are
+counted from the totals. In ``hanoi(n)`` that is the three corners and
+their six neighbors out of ``3**n`` vertices, in the double wheel the hub
+alone; in a graph of scattered degrees it is nearly every vertex, and the
+count costs about what counting every slot would. Besides the two columns,
+the count holds a degree and a label id per vertex, one byte each while
+they fit in a byte: in ``hanoi(n)``, two bytes per vertex against the
+graph's 16.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -280,17 +282,18 @@ def _pieces(column: Sequence[int], runs: Iterable[tuple[int, int]]) -> Iterator[
     return chain.from_iterable(column[start:end] for start, end in _blocks(runs))
 
 
-def _as_run(row: Sequence[int]) -> range | None:
-    """The ids of the non-empty ``row`` as a ``range`` when they are one run,
-    else ``None``.
+def _as_run(row: Sequence[int], own: int) -> range | None:
+    """The span ``range(lo, hi)`` of the non-empty ``row`` of vertex ``own``
+    when the row lists every id of it but, at most, ``own``; else ``None``.
 
-    No row of a ``Graph`` repeats an id, so a row is a run exactly when its
-    largest id less its smallest is its length less one: two C-level
-    reductions and no sort.
+    No row of a ``Graph`` repeats an id or lists its own vertex, so a row is
+    one run, or one run with only ``own`` missing, exactly when its span
+    holds its length of ids, and one more when ``own`` lies inside it: two
+    C-level reductions and no sort.
     """
     lo = min(row)
     hi = max(row) + 1
-    return range(lo, hi) if hi - lo == len(row) else None
+    return range(lo, hi) if hi - lo == len(row) + (lo < own < hi) else None
 
 
 def _without(runs: Iterable[tuple[int, int]], points: Sequence[int]) -> list[tuple[int, int]]:
@@ -402,45 +405,48 @@ class Graph:
         for each neighbor ``u`` of another degree, so a label can differ
         from ``(d0, d0 * d0)`` only at those vertices and their neighbors:
 
-        * Runs: a row of another degree's vertex that is one run of ids,
-          :func:`_as_run`, adds its ``deg - d0`` to the sum of every vertex
-          in it; only rows of ``_BLOCK`` slots or more are tested. The runs'
-          ends are sorted, and each stretch of one nonzero total correction
-          is labeled ``(d0, d0 * d0 + correction)`` with one slice
-          assignment. A run row's own vertex sums its neighbors' degrees as
-          one slice of the degree column.
+        * Spans: the row of a vertex ``u`` of another degree that lists
+          every id of its span ``[lo, hi)`` but, at most, ``u``, a run row
+          (:func:`_as_run`), adds its ``deg(u) - d0`` to the sum of every
+          vertex of the span, ``u`` too; only rows of ``_BLOCK`` slots or
+          more are tested. The spans' ends are sorted, and each stretch of
+          one nonzero total correction is labeled ``(d0, d0 * d0 +
+          correction)`` with one slice assignment. ``u``'s own label is
+          written over its slot after: its sum is ``offsets[hi] -
+          offsets[lo]``, the slots of its span's rows, less ``deg(u)`` when
+          the span holds ``u``.
         * Pulls: P, the other vertices of another degree and the targets of
           their rows, sum their neighbors' degrees over their own rows, as
-          they are streamed; their labels replace those of the runs. Each
+          they are streamed; their labels replace those of the spans. Each
           label is ranked to a small id as it is found, and every vertex
           left unlabeled keeps id 0, the label ``(d0, d0 * d0)``.
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
-          target slot, and a run row's as one count of its slice of ids,
-          the most common id dropped from it at C speed and counted as the
-          rest. A slot from S to a most-common vertex is counted twice, for
-          its mirror is in that vertex's row, which is not walked, and every
-          other slot joins two most-common vertices. Each edge is seen once
-          in each orientation, and the tables halve the counts at the end.
+          target slot, and a run row's as one count of its span's ids less
+          its own, the most common id dropped from them at C speed and
+          counted as the rest. A slot from S to a most-common vertex is
+          counted twice, for its mirror is in that vertex's row, which is
+          not walked, and every other slot joins two most-common vertices.
+          Each edge is seen once in each orientation, and the tables halve
+          the counts at the end.
 
         In ``hanoi(n)``, n >= 3, P and S are the three corners and their six
-        neighbors. In the double wheel, the hub's row is a run, so P is
-        empty and S is the hub: no ring vertex's row is read. On an
-        irregular graph P and S are most of the vertices, so the count
-        walks about as many slots as counting every slot would. Vertex runs
-        are found a block at a time, so a block without exceptions costs
-        one C-level ``count``, and columns are copied a block at a time.
+        neighbors. In the double wheel, the hub's row is a span, whatever
+        the hub's id, so P is empty and S is the hub: no ring vertex's row
+        is read. On an irregular graph P and S are most of the vertices, so
+        the count walks about as many slots as counting every slot would.
+        Vertex runs are found a block at a time, so a block without
+        exceptions costs one C-level ``count``, and columns are copied a
+        block at a time.
         The degrees and the ids are the only vertex-length columns, each a
         ``bytearray`` while its items fit in a byte. The degrees are widened
         once, by :func:`_degree_column` at the first block with a degree of
         256 or more, to an ``array`` of ``TYPECODE`` ints, the width of
-        ``offsets``, and replaced by a list for the pull when P pulls a slot
-        or more per four vertices, as when a hub's row is not a run. The
-        ids are a list when there are more than 256 labels: from the start
-        when the runs find that many, else from the block of P where the
-        257th label appears. A list, not an ``array``, because it indexes
-        about twice as fast, and an id above 256 is the int ``rank`` holds,
-        shared by every vertex of its label.
+        ``offsets``. The ids are a list when there are more than 256
+        labels: from the start when the spans find that many, else from the
+        block of P where the 257th label appears. A list, not an ``array``,
+        because it indexes about twice as fast, and an id above 256 is the
+        int ``rank`` holds, shared by every vertex of its label.
 
         No other row is read but the long rows that are tested for a run,
         which the invariant of every ``Graph`` makes sound: ids are in
@@ -453,17 +459,19 @@ class Graph:
         vertex_count = len(degrees)
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
-        # The rows of the vertices of another degree than d0 that are one run
-        # of ids [lo, hi): each adds deg - d0 to the neighbor sum of every
-        # vertex in it. Only rows of _BLOCK slots or more are tested, so that
-        # a graph of many short rows pays nothing for it
+        # The rows of the vertices of another degree than d0 that list every
+        # id of their span [lo, hi) but, at most, their own: each adds
+        # deg - d0 to the neighbor sum of every vertex of the span, its own
+        # too, whose label is written over later. Only rows of _BLOCK slots
+        # or more are tested, so that a graph of many short rows pays
+        # nothing for it
         odd = _differing(degrees, d0)
         run_rows: dict[int, range] = {}
         if any(d >= _BLOCK for d in degree_counts if d != d0):
             with memoryview(targets) as view:
                 hubs = compress(_pieces(range(vertex_count), odd), map(_BLOCK.__le__, _pieces(degrees, odd)))
                 for u in hubs:
-                    run = _as_run(view[offsets[u] : offsets[u + 1]])
+                    run = _as_run(view[offsets[u] : offsets[u + 1]], u)
                     if run:
                         run_rows[u] = run
         run_vertices = list(run_rows)
@@ -474,7 +482,7 @@ class Graph:
 
         # P, the vertices whose neighbor sums are pulled from their rows: the
         # vertices of another degree, but for those of run rows, whose sums
-        # are one slice of degrees each, and the targets of their rows
+        # come from the offsets of their spans, and the targets of their rows
         p_runs = _without(odd, run_vertices)
         if p_runs:
             in_p = bytearray(vertex_count)
@@ -496,11 +504,14 @@ class Graph:
             correction += change
             if correction and start < end:
                 segments.append((start, end, rank.setdefault((d0, d0 * d0 + correction), len(rank))))
-        with memoryview(degrees) as view:
-            run_ids = [
-                rank.setdefault((degrees[u], sum(view[run.start : run.stop])), len(rank))
-                for u, run in run_rows.items()
-            ]
+        # a run row's sum is the slot count of its span's rows, less its own
+        # degree when the span holds its own id
+        run_ids = [
+            rank.setdefault(
+                (degrees[u], offsets[run.stop] - offsets[run.start] - degrees[u] * (u in run)), len(rank)
+            )
+            for u, run in run_rows.items()
+        ]
         ids: _Column = bytearray(vertex_count) if len(rank) <= 256 else [0] * vertex_count
         counts = Counter({0: vertex_count})
         for start, end, i in segments:
@@ -512,14 +523,7 @@ class Graph:
             counts[i] += 1
             ids[u] = i
         overwritten: Counter[int] = Counter()
-        p_slots = _slots(offsets, p_runs)
-        # CPython specializes list indexing, which reads a wide column about
-        # 40 ns a slot faster than an array's; the list costs about 8 ns a
-        # vertex to make, so it replaces the array when P pulls a slot per
-        # four vertices
-        if isinstance(degrees, array) and 4 * sum(end - start for start, end in p_slots) >= vertex_count:
-            degrees = degrees.tolist()
-        target_degrees = map(degrees.__getitem__, _pieces(targets, p_slots))
+        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, p_runs)))
         sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
         # map draws each label, then len(rank), before its lookup, so a new
         # label gets the next id
@@ -528,22 +532,16 @@ class Graph:
             block = list(islice(p_ids, end - start))
             if len(rank) > 256 and isinstance(ids, bytearray):
                 ids = list(ids)
-            # a block outside the stretches of a correction replaces only 0s,
-            # counted at C speed
-            replaced = ids[start:end]
-            if replaced.count(0) == end - start:
-                overwritten[0] += end - start
-            else:
-                overwritten.update(replaced)
+            overwritten.update(ids[start:end])
             counts.update(block)
-            ids[start:end] = bytes(block) if isinstance(ids, bytearray) else block
+            ids[start:end] = block
         counts.subtract(overwritten)
         # a label is (degree, neighbor_sum), in the order of these tables
         labels = list(rank)
         width = len(labels)
 
         # S: the vertices off the most common id; only their rows are
-        # walked, a run row as one count of its slice of ids
+        # walked, a run row as one count of its span's ids, its own left out
         common = max(counts, key=counts.__getitem__)
         pairs: Counter[int] = Counter()
         walked = 0
@@ -551,6 +549,8 @@ class Graph:
             if ids[u] != common:
                 source = ids[u] * width
                 row_ids = ids[run.start : run.stop]
+                if u in run:
+                    del row_ids[u - run.start]
                 if isinstance(row_ids, bytearray):
                     # the common id is counted apart, dropped at C speed
                     others = row_ids.translate(None, bytes((common,)))
@@ -558,7 +558,7 @@ class Graph:
                         pairs[source + common] += len(row_ids) - len(others)
                     row_ids = others
                 pairs.update(map(source.__add__, row_ids))
-                walked += len(run)
+                walked += degrees[u]
         s_runs = _without(_differing(ids, common), run_vertices)
         s_slots = _slots(offsets, s_runs)
         source_ids = chain.from_iterable(

@@ -107,6 +107,26 @@ class TestCompute:
         assert code == 2
         assert "closed" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--index", "bogus"], "unknown index"),
+            (["--variant", "bogus"], "unknown variant"),
+            (["--method", "closed"], "closed forms exist only"),
+            (["--method", "both", "--tol", "nan"], "closed forms exist only"),
+        ],
+    )
+    @pytest.mark.parametrize("text", ["0 1\n1 x\n", None], ids=["faulty-file", "missing-file"])
+    def test_flags_are_checked_before_the_edge_list_is_read(self, tmp_path, capsys, flags, message, text):
+        # a faulty or missing file is not read, and the flag's fault is named
+        path = tmp_path / "edges.txt"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(capsys, "compute", "--edges", str(path), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and message in err
+
     def test_unknown_index_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "dw", "--n", "3", "--index", "zagreb")
         assert code == 2

@@ -373,6 +373,21 @@ class TestMemoryLayout:
         _, _, peak = retained_and_peak_bytes(Graph.edge_classes, g)
         assert peak <= 1.05 * before
 
+    def test_edge_classes_peak_with_an_inner_hub(self):
+        # dw(100000) with its ids relabelled: the hub's row spans every id
+        # but its own, and is read as one interval, as the plain hub's row
+        # is: 1,510,083 B against 1,411,729. It peaked at 2,623,096 B while
+        # the ring's sums were pulled from their rows through a list of the
+        # degrees
+        n = 100_000
+        perm = list(range(2 * n + 1))
+        random.Random(5).shuffle(perm)
+        plain = double_wheel(n)
+        relabelled = Graph(2 * n + 1, [(perm[u], perm[v]) for u, v in plain.edges()])
+        assert 0 < perm[0] < 2 * n
+        peaks = [retained_and_peak_bytes(Graph.edge_classes, g)[2] for g in (plain, relabelled)]
+        assert peaks[1] <= 1.1 * peaks[0]
+
     def test_csr_peak(self):
         # 2,431,560 B at shuffled dw(20000): the cursor list and its ints,
         # the offsets and the targets. The degree list is freed once the
@@ -552,12 +567,14 @@ class TestEdgeListRoundTrip:
             (5001, range(5001)),
             (0, [v for v in range(1, 5002) if v != 2500]),
             (2500, [v for v in range(5002) if v != 2500]),
+            (2500, [v for v in range(5002) if v not in (100, 2500)]),
         ],
-        ids=["run-after-hub", "run-before-hub", "run-but-one-id", "hub-inside-its-span"],
+        ids=["run-after-hub", "run-before-hub", "run-but-one-id", "hub-inside-its-span", "hub-inside-a-near-span"],
     )
     def test_long_rows_written_sorted(self, hub, row):
-        # a row longer than a write batch, in shuffled order, that is or is
-        # not one run of ids; no piece holds more than a batch of lines
+        # a row longer than a write batch, in shuffled order, that lists or
+        # does not list every id of its span but its own; no piece holds
+        # more than a batch of lines
         row = list(row)
         random.Random(hub).shuffle(row)
         g = Graph._from_csr(*_csr(5002, [end for v in row for end in (hub, v)]))

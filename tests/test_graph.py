@@ -325,8 +325,8 @@ class TestEdgeClasses:
         assert classes(g) == reference_edge_classes(g) == classes(double_wheel(700))
 
     def test_relabelled_double_wheel(self):
-        # the hub moved to an inner id: its row, every id but its own, is no
-        # run, so every ring vertex's sum is pulled through the wide column
+        # the hub moved to an inner id: its row, every id but its own, is
+        # one span, read as one interval, so no ring vertex's row is read
         n = 700
         perm = list(range(2 * n + 1))
         random.Random(5).shuffle(perm)
@@ -352,7 +352,7 @@ class TestEdgeClasses:
         hub = size
         row = [v for v in range(10, 311) if v != 10 + gap]
         g = Graph(size + 1, [*cycle(size).edges(), *((hub, v) for v in row)])
-        assert graph._as_run(g._targets[g._offsets[hub] : g._offsets[hub + 1]]) is None
+        assert graph._as_run(g._targets[g._offsets[hub] : g._offsets[hub + 1]], hub) is None
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize(
@@ -364,7 +364,7 @@ class TestEdgeClasses:
         # the labels inside a block of uniform degree
         size = 3 * _BLOCK
         g = Graph(size + 1, [*cycle(size).edges(), *((size, v) for v in range(start, end))])
-        assert graph._as_run(g._targets[g._offsets[size] :]) == range(start, end)
+        assert graph._as_run(g._targets[g._offsets[size] :], size) == range(start, end)
         assert classes(g) == reference_edge_classes(g)
 
     def test_most_common_degree_of_256_or_more(self):
@@ -423,6 +423,54 @@ class TestEdgeClasses:
             if u != v:
                 edges.add((min(u, v), max(u, v)))
         g = Graph(size + hubs, edges)
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize(
+        "start, end, hub, gap",
+        [
+            (0, 3 * _BLOCK + 1, 1, None),
+            (0, 3 * _BLOCK + 1, 3 * _BLOCK - 1, None),
+            (10, 400, 200, None),
+            (10, 400, 11, None),
+            (10, 400, 398, None),
+            # near-misses: one more inner id left out, so the row is no span
+            (10, 400, 200, 150),
+            (10, 400, 200, 201),
+            (10, 400, 11, 398),
+            (0, 3 * _BLOCK + 1, 1, 2),
+        ],
+    )
+    def test_hub_inside_its_span(self, start, end, hub, gap):
+        # a hub with an inner id, joined to every id of [start, end) but its
+        # own, or but its own and `gap`, and a cycle of the other vertices
+        size = 3 * _BLOCK + 1
+        ring = [v for v in range(size) if v != hub]
+        spokes = [(hub, v) for v in range(start, end) if v not in (hub, gap)]
+        g = Graph(size, [*zip(ring, ring[1:] + ring[:1]), *spokes])
+        run = graph._as_run(g._targets[g._offsets[hub] : g._offsets[hub + 1]], hub)
+        assert run == (range(start, end) if gap is None else None)
+        assert classes(g) == reference_edge_classes(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hubs_inside_their_spans(self, data):
+        # hubs with inner ids, each joined to every id of a span of _BLOCK
+        # or more around it but its own, or with one more inner id left
+        # out, a cycle of the other vertices, and a few chords
+        size = data.draw(st.integers(_BLOCK + 3, 3 * _BLOCK))
+        hubs = data.draw(st.sets(st.integers(1, size - 2), min_size=1, max_size=3))
+        ring = [v for v in range(size) if v not in hubs]
+        edges = {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
+        for hub in hubs:
+            start = data.draw(st.integers(0, min(hub - 1, size - _BLOCK - 2)))
+            end = data.draw(st.integers(max(hub + 2, start + _BLOCK + 2), size))
+            gap = data.draw(st.none() | st.integers(start + 1, end - 2))
+            edges |= {(min(v, hub), max(v, hub)) for v in range(start, end) if v not in (hub, gap)}
+        for _ in range(data.draw(st.integers(0, 4))):
+            u, v = data.draw(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph(size, edges)
         assert classes(g) == reference_edge_classes(g)
 
     def test_more_than_256_labels_from_runs(self):
