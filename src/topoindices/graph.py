@@ -36,21 +36,22 @@ the one derived value that is cached, on first use.
 The tables are counted by exception. A vertex's label depends only on the
 degrees of the vertex and of its neighbors: with ``d0`` the most common
 degree, a neighbor sum is ``d0`` per neighbor, corrected by ``deg(u) - d0``
-for each neighbor ``u`` of another degree. A row of such a ``u`` that lists
-every id of its span but, at most, ``u`` itself, as the double wheel's hub
-row does whatever the hub's id, adds its correction to that interval of
-ids, and each stretch of vertices under one total correction is labeled at
-once; ``u``'s own label comes from the offsets alone. Only the targets of
-the other such rows have their sums read from their own rows. Only the
-rows of vertices off the most common label are walked edge by edge, a span
-row with one count of its slice of labels, and the rest of the edges are
-counted from the totals. In ``hanoi(n)`` that is the three corners and
-their six neighbors out of ``3**n`` vertices, in the double wheel the hub
-alone; in a graph of scattered degrees it is nearly every vertex, and the
-count costs about what counting every slot would. Besides the two columns,
-the count holds a degree and a label id per vertex, one byte each while
-they fit in a byte: in ``hanoi(n)``, two bytes per vertex against the
-graph's 16.
+for each neighbor ``u`` of another degree. One such ``u`` is the hub, the
+first vertex of the highest degree when that is above ``d0``. When the
+hub's row lists every id of its span but, at most, the hub itself, as the
+double wheel's hub row does whatever the hub's id, its correction is added
+to that interval of ids at once, and the hub's own label comes from the
+offsets alone. Every other vertex of another degree, the hub too when its
+row is no span, has the sums of its row's targets read from their own
+rows. Only the rows of vertices off the most common label are walked edge
+by edge, the hub's span row with one count of its slice of labels, and the
+rest of the edges are counted from the totals. In ``hanoi(n)`` that is the
+three corners and their six neighbors out of ``3**n`` vertices, in the
+double wheel the hub alone; in a graph of scattered degrees it is nearly
+every vertex, and the count costs about what counting every slot would.
+Besides the two columns, the count holds a degree and a label id per
+vertex, one byte each while they fit in a byte: in ``hanoi(n)``, two bytes
+per vertex against the graph's 16.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -64,7 +65,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, compress, islice, pairwise, repeat
+from itertools import accumulate, chain, islice, pairwise, repeat
 from operator import add
 from types import MappingProxyType
 
@@ -188,8 +189,8 @@ _HIGH_BITS = _ONES * ((1 << 8 * _LANE) - (1 << 8))
 _LOW_BYTE = 0 if sys.byteorder == "little" else _LANE - 1
 
 # A per-vertex column of small ints: a bytearray while every item is below
-# 256, widened once when one is not, the degrees to an array of TYPECODE
-# ints and the label ids to a list.
+# 256; else the degrees are an array of TYPECODE ints and the label ids a
+# list.
 _Column = bytearray | array | list[int]
 
 
@@ -206,41 +207,45 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     times ``_ONES`` and written as that degree repeated; only the other
     blocks are converted back to bytes and fed to the ``Counter``.
 
-    The column is a ``bytearray`` while every degree is below 256, and is
-    widened once, to an ``array`` of ``TYPECODE`` ints, at the first block
-    that holds a larger one.
+    The column is a ``bytearray`` while every degree is below 256. At the
+    first block that holds a larger one, the bytes are dropped and the pass
+    starts again into an ``array`` of ``TYPECODE`` ints, so that no narrow
+    copy is held beside the wide column.
     """
     order = sys.byteorder
     vertex_count = len(offsets) - 1
     column: _Column = bytearray(vertex_count)
-    counts: Counter[int] = Counter()
-    ones = _ONES
-    with memoryview(offsets).cast("B") as raw:
-        for start in range(0, vertex_count, _BLOCK):
-            end = min(start + _BLOCK, vertex_count)
-            size = end - start
-            if size < _BLOCK:
-                # the last, short block: every lane of _ONES is alike, so
-                # its low lanes are the short block's pattern
-                ones &= (1 << 8 * _LANE * size) - 1
-            lo, hi = start * _LANE, end * _LANE
-            lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
-            lanes -= int.from_bytes(raw[lo:hi], order)
-            narrow = isinstance(column, bytearray)
-            if narrow and lanes & _HIGH_BITS:
-                # array(TYPECODE, a bytearray) would read its raw bytes
-                wide = array(TYPECODE, [0]) * vertex_count
-                wide[:start] = array(TYPECODE, iter(column[:start]))
-                column, narrow = wide, False
-            first = offsets[start + 1] - offsets[start]
-            if lanes == first * ones:
-                counts[first] += size
-                column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
+    while True:
+        narrow = isinstance(column, bytearray)
+        counts: Counter[int] = Counter()
+        ones = _ONES
+        with memoryview(offsets).cast("B") as raw:
+            for start in range(0, vertex_count, _BLOCK):
+                end = min(start + _BLOCK, vertex_count)
+                size = end - start
+                if size < _BLOCK:
+                    # the last, short block: every lane of _ONES is alike, so
+                    # its low lanes are the short block's pattern
+                    ones &= (1 << 8 * _LANE * size) - 1
+                lo, hi = start * _LANE, end * _LANE
+                lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
+                lanes -= int.from_bytes(raw[lo:hi], order)
+                if narrow and lanes & _HIGH_BITS:
+                    break
+                first = offsets[start + 1] - offsets[start]
+                if lanes == first * ones:
+                    counts[first] += size
+                    column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
+                else:
+                    items = lanes.to_bytes(hi - lo, order)
+                    column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
+                    counts.update(column[start:end])
             else:
-                items = lanes.to_bytes(hi - lo, order)
-                column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
-                counts.update(column[start:end])
-    return column, counts
+                return column, counts
+        # a block holds a degree of 256 or more: the bytes are dropped before
+        # the wide column is made
+        del column
+        column = array(TYPECODE, [0]) * vertex_count
 
 
 def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
@@ -405,26 +410,27 @@ class Graph:
         for each neighbor ``u`` of another degree, so a label can differ
         from ``(d0, d0 * d0)`` only at those vertices and their neighbors:
 
-        * Spans: the row of a vertex ``u`` of another degree that lists
-          every id of its span ``[lo, hi)`` but, at most, ``u``, a run row
-          (:func:`_as_run`), adds its ``deg(u) - d0`` to the sum of every
-          vertex of the span, ``u`` too; only rows of ``_BLOCK`` slots or
-          more are tested. The spans' ends are sorted, and each stretch of
-          one nonzero total correction is labeled ``(d0, d0 * d0 +
-          correction)`` with one slice assignment. ``u``'s own label is
-          written over its slot after: its sum is ``offsets[hi] -
-          offsets[lo]``, the slots of its span's rows, less ``deg(u)`` when
-          the span holds ``u``.
-        * Pulls: P, the other vertices of another degree and the targets of
-          their rows, sum their neighbors' degrees over their own rows, as
-          they are streamed; their labels replace those of the spans. Each
-          label is ranked to a small id as it is found, and every vertex
-          left unlabeled keeps id 0, the label ``(d0, d0 * d0)``.
+        * Span: the hub is the first vertex of the highest degree, when that
+          degree is above ``d0``. When its row lists every id of its span
+          ``[lo, hi)`` but, at most, the hub's own (:func:`_as_run`), the hub
+          adds its ``deg - d0`` to the sum of every vertex of the span, its
+          own too, and the span is labeled ``(d0, d0 * d0 + deg - d0)`` with
+          one slice assignment. The hub's own label is written over its slot
+          after: its sum is ``offsets[hi] - offsets[lo]``, the slots of its
+          span's rows, less ``deg`` when the span holds the hub. Only this
+          one row is tested: the double wheel has one hub, and ``hanoi(n)``
+          none above ``d0``.
+        * Pulls: P, the other vertices of another degree, the hub too when
+          its row is no span, and the targets of their rows, sum their
+          neighbors' degrees over their own rows, as they are streamed;
+          their labels replace those of the span. Each label is ranked to a
+          small id as it is found, and every vertex left unlabeled keeps id
+          0, the label ``(d0, d0 * d0)``.
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
-          target slot, and a run row's as one count of its span's ids less
-          its own, the most common id dropped from them at C speed and
-          counted as the rest. A slot from S to a most-common vertex is
+          target slot, and the hub's span row as one count of its span's
+          ids less its own, the most common id dropped from them at C speed
+          and counted as the rest. A slot from S to a most-common vertex is
           counted twice, for its mirror is in that vertex's row, which is
           not walked, and every other slot joins two most-common vertices.
           Each edge is seen once in each orientation, and the tables halve
@@ -433,24 +439,24 @@ class Graph:
         In ``hanoi(n)``, n >= 3, P and S are the three corners and their six
         neighbors. In the double wheel, the hub's row is a span, whatever
         the hub's id, so P is empty and S is the hub: no ring vertex's row
-        is read. On an irregular graph P and S are most of the vertices, so
-        the count walks about as many slots as counting every slot would.
-        Vertex runs are found a block at a time, so a block without
-        exceptions costs one C-level ``count``, and columns are copied a
-        block at a time.
+        is read. A second hub is pulled with its targets. On an irregular
+        graph P and S are most of the vertices, so the count walks about as
+        many slots as counting every slot would. Vertex runs are found a
+        block at a time, so a block without exceptions costs one C-level
+        ``count``, and columns are copied a block at a time.
         The degrees and the ids are the only vertex-length columns, each a
-        ``bytearray`` while its items fit in a byte. The degrees are widened
-        once, by :func:`_degree_column` at the first block with a degree of
-        256 or more, to an ``array`` of ``TYPECODE`` ints, the width of
-        ``offsets``. The ids are a list when there are more than 256
-        labels: from the start when the spans find that many, else from the
-        block of P where the 257th label appears. A list, not an ``array``,
-        because it indexes about twice as fast, and an id above 256 is the
-        int ``rank`` holds, shared by every vertex of its label.
+        ``bytearray`` while its items fit in a byte. The degrees are an
+        ``array`` of ``TYPECODE`` ints, the width of ``offsets``, when a
+        degree is 256 or more (:func:`_degree_column`). The ids start as a
+        ``bytearray``, for at most three labels are known before P, and
+        become a list at the block of P where the 257th label appears. A
+        list, not an ``array``, because it indexes about twice as fast, and
+        an id above 256 is the int ``rank`` holds, shared by every vertex
+        of its label.
 
-        No other row is read but the long rows that are tested for a run,
-        which the invariant of every ``Graph`` makes sound: ids are in
-        range, rows are symmetric, and no slot is a loop or a repeat.
+        No other row is read but the hub's, tested for a span, which the
+        invariant of every ``Graph`` makes sound: ids are in range, rows are
+        symmetric, and no slot is a loop or a repeat.
         """
         if self._classes is not None:
             return self._classes
@@ -459,69 +465,47 @@ class Graph:
         vertex_count = len(degrees)
         d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
 
-        # The rows of the vertices of another degree than d0 that list every
-        # id of their span [lo, hi) but, at most, their own: each adds
-        # deg - d0 to the neighbor sum of every vertex of the span, its own
-        # too, whose label is written over later. Only rows of _BLOCK slots
-        # or more are tested, so that a graph of many short rows pays
-        # nothing for it
+        # The hub: the first vertex of the highest degree, when that degree
+        # is above d0. If its row lists every id of its span [lo, hi) but, at
+        # most, its own, it adds deg - d0 to the neighbor sum of every vertex
+        # of the span, its own too, whose label is written over later; if
+        # not, the hub is pulled like the other vertices of another degree
         odd = _differing(degrees, d0)
-        run_rows: dict[int, range] = {}
-        if any(d >= _BLOCK for d in degree_counts if d != d0):
+        hub = max(_pieces(range(vertex_count), odd), key=degrees.__getitem__, default=-1)
+        span = None
+        if hub >= 0 and degrees[hub] > d0:
             with memoryview(targets) as view:
-                hubs = compress(_pieces(range(vertex_count), odd), map(_BLOCK.__le__, _pieces(degrees, odd)))
-                for u in hubs:
-                    run = _as_run(view[offsets[u] : offsets[u + 1]], u)
-                    if run:
-                        run_rows[u] = run
-        run_vertices = list(run_rows)
-        # one change of the correction where each run starts, one where it ends
-        changes = sorted(chain.from_iterable(
-            ((run.start, degrees[u] - d0), (run.stop, d0 - degrees[u])) for u, run in run_rows.items()
-        ))
+                span = _as_run(view[offsets[hub] : offsets[hub + 1]], hub)
+        spanned = [hub] if span else []
 
         # P, the vertices whose neighbor sums are pulled from their rows: the
-        # vertices of another degree, but for those of run rows, whose sums
-        # come from the offsets of their spans, and the targets of their rows
-        p_runs = _without(odd, run_vertices)
+        # vertices of another degree, but for a hub whose row is a span, and
+        # the targets of their rows
+        p_runs = _without(odd, spanned)
         if p_runs:
             in_p = bytearray(vertex_count)
             for start, end in p_runs:
                 in_p[start:end] = b"\x01" * (end - start)
             for v in _pieces(targets, _slots(offsets, p_runs)):
                 in_p[v] = 1
-            p_runs = _without(_runs(in_p), run_vertices)
+            p_runs = _without(_runs(in_p), spanned)
             del in_p
 
-        # Labels, each ranked to a small id: (d0, d0 * d0 + correction) over
-        # each stretch of one nonzero total correction, then the labels of
-        # the run rows' vertices, then P's, streamed. `counts` counts the
-        # ids written; `overwritten`, the ids that P's blocks replace
+        # Labels, each ranked to a small id: (d0, d0 * d0 + deg - d0) over the
+        # hub's span, then the hub's own, then P's, streamed. The hub's sum is
+        # the slot count of its span's rows, less its own degree when the span
+        # holds its id. `counts` counts the ids written; `overwritten`, the
+        # ids that P's blocks replace
         rank = {(d0, d0 * d0): 0}
-        segments = []
-        correction = 0
-        for (start, change), (end, _) in pairwise(changes):
-            correction += change
-            if correction and start < end:
-                segments.append((start, end, rank.setdefault((d0, d0 * d0 + correction), len(rank))))
-        # a run row's sum is the slot count of its span's rows, less its own
-        # degree when the span holds its own id
-        run_ids = [
-            rank.setdefault(
-                (degrees[u], offsets[run.stop] - offsets[run.start] - degrees[u] * (u in run)), len(rank)
-            )
-            for u, run in run_rows.items()
-        ]
-        ids: _Column = bytearray(vertex_count) if len(rank) <= 256 else [0] * vertex_count
+        ids: _Column = bytearray(vertex_count)
         counts = Counter({0: vertex_count})
-        for start, end, i in segments:
-            ids[start:end] = bytes((i,)) * (end - start) if isinstance(ids, bytearray) else [i] * (end - start)
-            counts[0] -= end - start
-            counts[i] += end - start
-        for u, i in zip(run_rows, run_ids):
-            counts[ids[u]] -= 1
-            counts[i] += 1
-            ids[u] = i
+        if span:
+            deg, inside = degrees[hub], hub in span
+            rank[d0, d0 * d0 + deg - d0] = 1
+            rank[deg, offsets[span.stop] - offsets[span.start] - deg * inside] = 2
+            ids[span.start : span.stop] = b"\x01" * len(span)
+            ids[hub] = 2
+            counts = Counter({0: vertex_count - len(span) - 1 + inside, 1: len(span) - inside, 2: 1})
         overwritten: Counter[int] = Counter()
         target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, p_runs)))
         sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
@@ -541,25 +525,25 @@ class Graph:
         width = len(labels)
 
         # S: the vertices off the most common id; only their rows are
-        # walked, a run row as one count of its span's ids, its own left out
+        # walked, a hub's span row as one count of its span's ids, its own
+        # left out
         common = max(counts, key=counts.__getitem__)
         pairs: Counter[int] = Counter()
         walked = 0
-        for u, run in run_rows.items():
-            if ids[u] != common:
-                source = ids[u] * width
-                row_ids = ids[run.start : run.stop]
-                if u in run:
-                    del row_ids[u - run.start]
-                if isinstance(row_ids, bytearray):
-                    # the common id is counted apart, dropped at C speed
-                    others = row_ids.translate(None, bytes((common,)))
-                    if len(others) < len(row_ids):
-                        pairs[source + common] += len(row_ids) - len(others)
-                    row_ids = others
-                pairs.update(map(source.__add__, row_ids))
-                walked += degrees[u]
-        s_runs = _without(_differing(ids, common), run_vertices)
+        if span and ids[hub] != common:
+            source = ids[hub] * width
+            row_ids = ids[span.start : span.stop]
+            if inside:
+                del row_ids[hub - span.start]
+            if isinstance(row_ids, bytearray):
+                # the common id is counted apart, dropped at C speed
+                others = row_ids.translate(None, bytes((common,)))
+                if len(others) < len(row_ids):
+                    pairs[source + common] += len(row_ids) - len(others)
+                row_ids = others
+            pairs.update(map(source.__add__, row_ids))
+            walked = deg
+        s_runs = _without(_differing(ids, common), spanned)
         s_slots = _slots(offsets, s_runs)
         source_ids = chain.from_iterable(
             map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _pieces(degrees, s_runs))

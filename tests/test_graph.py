@@ -29,6 +29,20 @@ def classes(g: Graph) -> dict[str, dict[tuple[int, int], int]]:
     return {mode: dict(table) for mode, table in g.edge_classes().items()}
 
 
+@pytest.fixture
+def rows_read(monkeypatch):
+    """The vertex runs whose rows `Graph.edge_classes` reads for P and S."""
+    read = []
+    slots = graph._slots
+
+    def spy(offsets, runs):
+        read.extend(runs)
+        return slots(offsets, runs)
+
+    monkeypatch.setattr(graph, "_slots", spy)
+    return read
+
+
 def assert_degree_column(g: Graph) -> None:
     """The classifier's degree column and counts agree with ``degree``."""
     column, counts = _degree_column(g._offsets)
@@ -335,10 +349,63 @@ class TestEdgeClasses:
         assert isinstance(_degree_column(g._offsets)[0], array)
         assert classes(g) == reference_edge_classes(g) == classes(double_wheel(n))
 
+    @pytest.mark.parametrize("n", [3, 64, 127])
+    def test_small_double_wheels_read_no_ring_row(self, rows_read, n):
+        # the hub's row of 2n < _BLOCK slots is read as one span, so P is
+        # empty and S is the hub alone. While only rows of _BLOCK slots or
+        # more were tested for a span, P and S read 9, 131 and 257 rows
+        g = double_wheel(n)
+        assert classes(g) == reference_edge_classes(g)
+        assert not rows_read
+
+    def test_triangle_and_an_isolated_vertex(self):
+        # the highest degree off d0 = 2 is 0, below it: no row is tested
+        g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("isolated", [[0], [0, 12], [10, 11], [5, 12]])
+    def test_cycle_with_isolated_vertices_and_a_hub(self, isolated):
+        # a 10-cycle, a hub joined to every cycle vertex, and isolated
+        # vertices before, after or between them: an isolated id among the
+        # cycle's leaves a gap in the hub's row, which is then no span
+        size = 11 + len(isolated)
+        *ring, hub = [v for v in range(size) if v not in isolated]
+        g = Graph(size, [*zip(ring, ring[1:] + ring[:1]), *((hub, v) for v in ring)])
+        run = graph._as_run(g._targets[g._offsets[hub] : g._offsets[hub + 1]], hub)
+        assert run == (None if 5 in isolated else range(ring[0], ring[-1] + 1))
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize(
+        "first, second, spanned",
+        [
+            # the higher hub's row has a gap, the lower one's is a span
+            ([v for v in range(200) if v != 100], range(150), []),
+            # both rows are spans, the higher one second
+            (range(150), range(100, 300), [301]),
+            # equal degrees, and both rows are spans
+            (range(10, 50), range(40), [300]),
+            (range(10, 50), range(20, 60), [300]),
+            (range(10, 50), range(60, 100), [300]),
+        ],
+    )
+    def test_two_hubs_over_a_cycle(self, rows_read, first, second, spanned):
+        # hubs 300 and 301 joined to ids of a 300-cycle: only the first hub
+        # of the highest degree is tested for a span, and its row, when it
+        # is one, is the only hub row left unread; the other is pulled
+        # with its targets
+        size = 300
+        spokes = [*((size, v) for v in first), *((size + 1, v) for v in second)]
+        g = Graph(size + 2, [*cycle(size).edges(), *spokes])
+        assert classes(g) == reference_edge_classes(g)
+        read = {v for start, end in rows_read for v in range(start, end)}
+        assert [hub for hub in (300, 301) if hub not in read] == spanned
+
     @pytest.mark.parametrize("runs", [[(0, 600), (0, 300), (300, 600)], [(0, 400), (150, 600)]])
     def test_hubs_with_overlapping_run_rows(self, runs):
         # each hub lists one run of the leaves 0..599, and every leaf is in
-        # one or two runs: corrections add where runs overlap
+        # one or two runs: only the highest-degree hub's row is read as a
+        # span, and the other hubs are pulled with their targets, whose
+        # labels replace the span's where the runs overlap
         leaves = 600
         hubs = enumerate(runs, start=leaves)
         g = Graph(leaves + len(runs), [(hub, v) for hub, (start, end) in hubs for v in range(start, end)])
@@ -408,14 +475,15 @@ class TestEdgeClasses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_hubs_over_runs_and_near_runs(self, data):
-        # a cycle, hubs each joined to a run of its vertices of _BLOCK or
-        # more, or to such a run with one inner id left out, and a few chords
-        size = data.draw(st.integers(_BLOCK + 2, 3 * _BLOCK))
+        # a cycle, hubs each joined to a run of three or more of its
+        # vertices, or to such a run with one inner id left out, and a few
+        # chords
+        size = data.draw(st.integers(3, 3 * _BLOCK))
         edges = set(cycle(size).edges())
         hubs = data.draw(st.integers(1, 3))
         for hub in range(size, size + hubs):
-            start = data.draw(st.integers(0, size - _BLOCK))
-            end = data.draw(st.integers(start + _BLOCK, size))
+            start = data.draw(st.integers(0, size - 3))
+            end = data.draw(st.integers(start + 3, size))
             gap = data.draw(st.none() | st.integers(start + 1, end - 2))
             edges |= {(v, hub) for v in range(start, end) if v != gap}
         for _ in range(data.draw(st.integers(0, 4))):
@@ -454,16 +522,16 @@ class TestEdgeClasses:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_hubs_inside_their_spans(self, data):
-        # hubs with inner ids, each joined to every id of a span of _BLOCK
+        # hubs with inner ids, each joined to every id of a span of three
         # or more around it but its own, or with one more inner id left
         # out, a cycle of the other vertices, and a few chords
-        size = data.draw(st.integers(_BLOCK + 3, 3 * _BLOCK))
+        size = data.draw(st.integers(6, 3 * _BLOCK))
         hubs = data.draw(st.sets(st.integers(1, size - 2), min_size=1, max_size=3))
         ring = [v for v in range(size) if v not in hubs]
         edges = {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
         for hub in hubs:
-            start = data.draw(st.integers(0, min(hub - 1, size - _BLOCK - 2)))
-            end = data.draw(st.integers(max(hub + 2, start + _BLOCK + 2), size))
+            start = data.draw(st.integers(0, hub - 1))
+            end = data.draw(st.integers(hub + 2, size))
             gap = data.draw(st.none() | st.integers(start + 1, end - 2))
             edges |= {(min(v, hub), max(v, hub)) for v in range(start, end) if v not in (hub, gap)}
         for _ in range(data.draw(st.integers(0, 4))):
@@ -474,9 +542,10 @@ class TestEdgeClasses:
         assert classes(g) == reference_edge_classes(g)
 
     def test_more_than_256_labels_from_runs(self):
-        # 257 stars whose leaves, 256 to 512 of them, are runs of ids: each
-        # star's leaves and each center carry a label of their own, so the
-        # id column is a list from the start
+        # 257 stars whose leaves, 256 to 512 of them, are runs of ids: the
+        # largest star's row is read as a span, and the other stars are
+        # pulled, each star's leaves and each center with a label of its
+        # own, so the id column becomes a list in P's block loop
         centers = range(257)
         sizes = [256 + k for k in centers]
         first = list(accumulate(sizes, initial=len(centers)))
