@@ -493,6 +493,188 @@ class TestDefaultPathBytes:
         assert sha256(out) == digest
 
 
+# Every output form of every subcommand, by command line ("TRIANGLE" names
+# an edge-list file of one triangle) and the sha256 of its stdout. Each exits
+# 0, and only verify writes to stderr: its errata, after the report.
+OUTPUT_PINS = [
+    (
+        "compute --family hanoi --n 4 --method brute --format text",
+        "160a75e86119fedd0dd101a0f506a00c7203cb40b9d18bea9735e13338696419",
+    ),
+    (
+        "compute --family hanoi --n 4 --method brute --format csv",
+        "7d4820b8ccf9ac2a1ed25d1ea83b9e8821fd8863d925f0f94c1a37c3c14f5279",
+    ),
+    (
+        "compute --family hanoi --n 4 --method brute --format json",
+        "d8a049856c02a2f646413f1f12f16eb39d3d5614ddaccd76e9285d27f66c08b7",
+    ),
+    (
+        "compute --family hanoi --n 4 --method closed --format text",
+        "160a75e86119fedd0dd101a0f506a00c7203cb40b9d18bea9735e13338696419",
+    ),
+    (
+        "compute --family hanoi --n 4 --method closed --format csv",
+        "55c3524dc5a9717f544fda0f7ad9756c40c2b09ebf131321feef792c1f510594",
+    ),
+    (
+        "compute --family hanoi --n 4 --method closed --format json",
+        "b05581f0481624c19b0f45e96eb5ff79875d6287eeb0e09c80a0d610dca7acf7",
+    ),
+    (
+        "compute --family hanoi --n 4 --method both --format text",
+        "54ee4adfe5df6a27a0ecbc635b8f3fbe1887742a0478c1c56a19af017a2afedf",
+    ),
+    (
+        "compute --family hanoi --n 4 --method both --format csv",
+        "17edd1f851bcabf09056f6ff7087b68bb287fb9cc47f225ff96f7c8c4a258b9f",
+    ),
+    (
+        "compute --family hanoi --n 4 --method both --format json",
+        "cd9ea5383f3e4a6add2ddc7f0021dcb0e4759ba219abfb44f78850a63185e3a2",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method brute --format text",
+        "52a3b5c0e0f90bf935acc3505896e83c7d81234e329d204dcf4a550a1331a7c9",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method brute --format csv",
+        "7cb5e726b06389ad4de561c7bcb25b123cb595427aadb95d30ad9f8cd879f959",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method brute --format json",
+        "6a298b6104125ba83e9b5b85a38cf365c1f2ccea68ff3b243eaf9727fe280dd2",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method closed --format text",
+        "a3671e8b6cf9275eb17c84b8b0985887c3fbf0cc6417fbce555e970b4dd9f9b6",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method closed --format csv",
+        "669ddd324f0437f3e76216c5b57c8df3f393fe76da064f009c5ab9e9fcc67195",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method closed --format json",
+        "f072cbaf3752d82b141c59b083f763c70d970b7a821006c09f41c44c80a92f60",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method both --format text",
+        "e186dc29e47aabbb82b0c1a6a05a3f80fd1e23192a90696fc162eef2bbbda33f",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method both --format csv",
+        "5c0cda10849bbe69558c3c3ccc57dd46ac254e4362bba00efedb316bf6f8fd8d",
+    ),
+    (
+        "compute --family dw --n 5 --variant as-stated --method both --format json",
+        "1d0dbce576dd8f6904d6a168027722052a046fd4a5de94dcc07d15f04fa3b831",
+    ),
+    (
+        "compute --edges TRIANGLE --format text",
+        "75edc61a6631c3d89f7df7284493cfa802be92b892ee70899e9fe928ae1ddcef",
+    ),
+    (
+        "compute --edges TRIANGLE --format csv",
+        "c03d020a08c27baad884277de421b14096e67156116ab1c89f0926abf8000621",
+    ),
+    (
+        "compute --edges TRIANGLE --format json",
+        "51f1d568b456156caa66c9e76a707e6bfa7bf5921000fbab3e973d52caeccff3",
+    ),
+    (
+        "partition --family dw --n 5 --mode degree --format text",
+        "3f987536ca7cf8398759c26402081febda1263bb1dff23d00b13e9bd7a658f95",
+    ),
+    (
+        "partition --family dw --n 5 --mode degree --format csv",
+        "459e42d4ed4b8693c5a9e6dd52758862873b896b1ececab089a8a0765ff29b4b",
+    ),
+    (
+        "partition --family dw --n 5 --mode degree --format json",
+        "797d68f9994d5f2217e15c4a60db3f6c6490cdcd9fb1751368112877fc6d7d29",
+    ),
+    (
+        "partition --family dw --n 5 --mode neighbor-sum --format text",
+        "48b9c8692c35d0bcd47c0314c8a6f3ac05d3f92ff659c6560dd109a40e849a55",
+    ),
+    (
+        "partition --family dw --n 5 --mode neighbor-sum --format csv",
+        "c1ce8b52942663d9ec01eb403af5b3de759202e0f1100009072bd560d1be1bc1",
+    ),
+    (
+        "partition --family dw --n 5 --mode neighbor-sum --format json",
+        "dc0f45c42e0e29a3dc7c784b496c34b93a8fe86ffad6729c6b49cad215e28126",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode degree --format text",
+        "b4cde387b82af340659d950c0bde06659d8edfffb108b3ddbd256cd14a5ae7fe",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode degree --format csv",
+        "e7819b63ae6074eb16b75bd10190eb78eed82f48cface14e563f81d2c298659d",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode degree --format json",
+        "f4e569546ce828d4301d1b124116bce4b87cf66c7f7f6d3805d063614550334d",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode neighbor-sum --format text",
+        "1683c07aeb20dd29443f5a2554896828ae174c8f07f9c640114ca94e315ce26d",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode neighbor-sum --format csv",
+        "99161d56b7054a9416a2bd8982f944c6f485bf67f6fbefa25d9f20e63c027ce9",
+    ),
+    (
+        "partition --family hanoi --n 4 --mode neighbor-sum --format json",
+        "68449ecd6bdae161cc45bb25f1b5d57dd5b84eb06474c20c7a1118a48dca3ac9",
+    ),
+    (
+        "generate --family dw --n 5",
+        "facba9be385a3288a57729685d62eba4a991a17fff5343840343efecb64053f0",
+    ),
+    (
+        "generate --family hanoi --n 3",
+        "55ef6de811ccb149c28d3f94642b80bbba18f78601f11bfa731bdf313d682bca",
+    ),
+    (
+        "errata --n 4",
+        "5e4777d110fd22db15d3be531ad6d807c26bdc19eccaf60c6812d259d87664b6",
+    ),
+    (
+        "verify --family hanoi --n-min 3 --n-max 4",
+        "698adf965199cccb109378bc538a14048bc492b52af465d217ac070b2832b609",
+    ),
+]
+VERIFY_ERRATA = (
+    "erratum: double-wheel abc4 closed form (statement vs. derivation): the stated formula "
+    "duplicates the degree-based abc closed form and does not match brute force; the "
+    "expression reached at the end of its own derivation does\n"
+    "erratum: hanoi neighbor-sum edge partition table: the published table lists only three "
+    "of the four edge classes; the (9, 9) class with count (3**(n+1) - 33) / 2 completes the "
+    "partition and matches direct enumeration\n"
+    "erratum: double-wheel abc4 derivation, partition table citation: the derivation cites a "
+    "partition table by a number that does not exist in the source; the neighbor-sum edge "
+    "partition table is the one actually used\n"
+)
+
+
+class TestOutputBytes:
+    """Each output form byte for byte, written to stdout and to ``--out``."""
+
+    @pytest.mark.parametrize("line, digest", OUTPUT_PINS, ids=[line for line, _ in OUTPUT_PINS])
+    def test_stdout_and_out_file(self, tmp_path, capsys, line, digest):
+        triangle = tmp_path / "tri.txt"
+        triangle.write_text(TRIANGLE)
+        argv = [str(triangle) if word == "TRIANGLE" else word for word in line.split()]
+        errata = VERIFY_ERRATA if argv[0] == "verify" else ""
+        code, out, err = run(capsys, *argv)
+        assert (code, sha256(out), err) == (0, digest, errata)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", errata)
+        assert sha256(path.read_text(encoding="utf-8")) == digest
+
+
 class TestModuleEntryPoint:
     """``python -m topoindices`` runs ``main`` and exits with its code."""
 
@@ -513,12 +695,101 @@ class TestModuleEntryPoint:
             "09eb976d70ebcb2c653595fced9fd6416b6d34145b4d1eb9087845690d19d143"
         )
 
+    def test_verify_report_then_errata_on_one_stream(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "topoindices", "verify", "--family", "hanoi",
+             "--n-min", "3", "--n-max", "4"],
+            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.endswith("}\n" + VERIFY_ERRATA)
+        assert sha256(proc.stdout) == (
+            "c90a952e71047d7b4ee66cbc30712ee7a2afbabfa38fd6ba92a5ad2e0e4058f8"
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["", "generate", "compute", "partition", "verify", "errata"]
+    )
+    def test_help_exits_0(self, command):
+        proc = self._run(*command.split(), "--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(f"usage: topoindices {command}".rstrip())
+        assert proc.stderr == ""
+
     def test_usage_error_exits_2(self):
         # returned by main, not raised by argparse, so only sys.exit carries it
         proc = self._run("verify", "--family", "dw", "--n-min", "3")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: --n-min and --n-max must be given together\n"
+
+
+# Each subcommand's help, function, and actions in declaration order: option
+# strings, dest, default, choices, required, type name and help.
+FAMILY = tuple(FAMILIES)
+HELP = (
+    ("-h", "--help"), "help", argparse.SUPPRESS, None, False, None,
+    "show this help message and exit",
+)
+PARSER_CONTRACT = {
+    "generate": ("write a family graph as an edge list", "cmd_generate", [
+        HELP,
+        (("--family",), "family", None, FAMILY, True, None, None),
+        (("--n",), "n", None, None, True, "int", None),
+        (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
+    ]),
+    "compute": ("compute index values for a graph", "cmd_compute", [
+        HELP,
+        (("--family",), "family", None, FAMILY, False, None, "graph family"),
+        (("--n",), "n", None, None, False, "int", "family size parameter"),
+        (("--edges",), "edges", None, None, False, None, "edge-list file instead of a family"),
+        (("--index",), "index", "all", None, False, None, "index name or 'all'"),
+        (("--method",), "method", "brute", ("brute", "closed", "both"), False, None, None),
+        (("--variant",), "variant", "proof-derived", None, False, None,
+         "closed-form variant (abc4 only)"),
+        (("--tol",), "tol", 1e-09, None, False, "float", "pass tolerance for --method both"),
+        (("--format",), "format", "text", ("text", "csv", "json"), False, None, None),
+        (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
+    ]),
+    "partition": ("tabulate an edge partition", "cmd_partition", [
+        HELP,
+        (("--family",), "family", None, FAMILY, False, None, "graph family"),
+        (("--n",), "n", None, None, False, "int", "family size parameter"),
+        (("--edges",), "edges", None, None, False, None, "edge-list file instead of a family"),
+        (("--mode",), "mode", "degree", None, False, None, "degree or neighbor-sum"),
+        (("--format",), "format", "text", ("text", "csv", "json"), False, None, None),
+        (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
+    ]),
+    "verify": ("check closed forms against brute force", "cmd_verify", [
+        HELP,
+        (("--family",), "family", "all", (*FAMILY, "all"), False, None, None),
+        (("--index",), "index", "all", None, False, None, "index name or 'all'"),
+        (("--n-min",), "n_min", None, None, False, "int", "range start (default: per-kind range)"),
+        (("--n-max",), "n_max", None, None, False, "int", "range end (inclusive)"),
+        (("--variant",), "variant", "proof-derived", None, False, None,
+         "closed-form variant (abc4 only)"),
+        (("--tol",), "tol", 1e-09, None, False, "float", None),
+        (("--format",), "format", "json", ("json", "csv"), False, None, None),
+        (("--out",), "out", None, None, False, None, "report path (default: stdout)"),
+    ]),
+    "errata": ("report the discrepancies the checks expose", "cmd_errata", [
+        HELP,
+        (("--n",), "n", 3, None, False, "int", "probe size for the numeric evidence"),
+        (("--format",), "format", "text", ("text", "json"), False, None, None),
+        (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
+    ]),
+}
+
+
+def _subparsers():
+    return next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
 
 
 class TestArgparseContract:
@@ -532,11 +803,29 @@ class TestArgparseContract:
             main(["generate", "--family", "dw", "--n", "3", "--wat"])
         assert exc.value.code == 2
 
+    def test_every_subcommand_as_declared(self):
+        subparsers = _subparsers()
+        helps = {action.dest: action.help for action in subparsers._choices_actions}
+        declared = {
+            command: (
+                helps[command],
+                parser.get_default("func").__name__,
+                [
+                    (
+                        tuple(action.option_strings), action.dest, action.default,
+                        action.choices, action.required,
+                        getattr(action.type, "__name__", None), action.help,
+                    )
+                    for action in parser._actions
+                ],
+            )
+            for command, parser in subparsers.choices.items()
+        }
+        assert declared == PARSER_CONTRACT
+        assert list(declared) == list(PARSER_CONTRACT)
+
     def test_family_choices_come_from_registry(self):
-        subparsers = next(
-            action for action in build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        )
+        subparsers = _subparsers()
         choices = {
             command: action.choices
             for command, parser in subparsers.choices.items()
@@ -596,3 +885,4 @@ def test_name_lookups_share_spellings_and_errors(capsys, lookup, known, argv):
     assert code == 2
     assert out == ""
     assert listed in err
+

@@ -7,7 +7,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import topoindices
 
@@ -69,3 +72,85 @@ def test_each_import_loads_only_what_it_uses(monkeypatch):
     assert traced <= set(cli)
     assert "topoindices.edgelist" not in cli
     assert one
+
+
+# Spans per name of each command line run under the benchmark's tracer
+# ("TRIANGLE" names an edge-list file of one triangle): the CLI must keep
+# calling the names the tracer wraps, or a layer's metrics read 0.
+CLI_SPANS = [
+    (
+        "verify",
+        {
+            "cli.main": 1,
+            "verify.verify_family": 2,
+            "verify.combine_reports": 1,
+            "verify.errata_report": 3,
+            "verify.report_json": 1,
+            "generators.double_wheel": 65,
+            "generators.hanoi": 13,
+            "indices.compute_index": 418,
+            "closed_forms.closed_form": 421,
+            "closed_forms.dw_closed_form": 381,
+            "closed_forms.hanoi_closed_form": 40,
+            "partition.neighbor_sum": 6,
+        },
+    ),
+    (
+        "compute --family dw --n 5 --method both",
+        {
+            "cli.main": 1,
+            "generators.double_wheel": 1,
+            "indices.compute_index": 6,
+            "closed_forms.closed_form": 6,
+            "closed_forms.dw_closed_form": 6,
+        },
+    ),
+    (
+        "compute --family dw --n 5 --method closed",
+        {"cli.main": 1, "closed_forms.closed_form": 6, "closed_forms.dw_closed_form": 6},
+    ),
+    (
+        "compute --family dw --n 5 --method brute",
+        {"cli.main": 1, "generators.double_wheel": 1, "indices.compute_index": 6},
+    ),
+    (
+        "compute --edges TRIANGLE",
+        {"cli.main": 1, "generators.from_edge_list": 1, "indices.compute_index": 6},
+    ),
+    (
+        "partition --family hanoi --n 4 --mode neighbor-sum",
+        {"cli.main": 1, "generators.hanoi": 1, "partition.neighbor_sum": 1},
+    ),
+    ("generate --family hanoi --n 3", {"cli.main": 1, "generators.hanoi": 1}),
+    (
+        "errata",
+        {
+            "cli.main": 1,
+            "verify.errata_report": 1,
+            "generators.double_wheel": 1,
+            "generators.hanoi": 2,
+            "indices.compute_index": 2,
+            "closed_forms.closed_form": 3,
+            "closed_forms.dw_closed_form": 3,
+            "partition.neighbor_sum": 2,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("line, counts", CLI_SPANS, ids=[line for line, _ in CLI_SPANS])
+def test_cli_spans_under_the_tracer(tmp_path, line, counts):
+    triangle = tmp_path / "tri.txt"
+    triangle.write_text("0 1\n1 2\n0 2\n")
+    argv = [str(triangle) if word == "TRIANGLE" else word for word in line.split()]
+    out = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "cli", str(out), "--", *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(out.read_text(encoding="utf-8"))["trace"]["spans"]
+    assert Counter(span[0] for span in spans) == counts
