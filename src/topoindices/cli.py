@@ -1,5 +1,11 @@
 """Command-line interface: generate, compute, partition, verify, errata.
 
+Each ``cmd_*`` function returns what its command produced: the output (a
+string, or for ``generate`` its pieces in order), the lines for stderr
+(only ``verify`` has any: its errata summary) and the exit code.
+:func:`main` writes the output to ``--out`` or stdout, then the stderr
+lines, and returns the code.
+
 Exit codes are a stable scripting contract:
 
 * 0: success (for ``verify``: every check passed)
@@ -14,6 +20,7 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
+from contextlib import nullcontext
 
 from .closed_forms import FAMILIES, Variant, closed_form, get_family
 from .graph import Graph
@@ -21,7 +28,6 @@ from .indices import IndexKind, compute_index
 from .partition import (
     DEGREE,
     NEIGHBOR_SUM,
-    EdgePartition,
     _lookup,
     degree_partition,
     neighbor_sum_partition,
@@ -39,6 +45,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# What a command returns: its output, its stderr lines and its exit code.
+Result = tuple[str | Iterable[str], list[str], int]
 
 
 def _fmt(x: float) -> str:
@@ -72,132 +81,114 @@ def _render_csv(columns: tuple[str, ...], records: list[dict]) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _write_output(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, a string or its pieces in order, to ``out`` or stdout."""
-    pieces = [text] if isinstance(text, str) else text
-    if out is None:
-        sys.stdout.writelines(pieces)
-    else:
-        with open(out, "w", encoding="utf-8") as file:
-            file.writelines(pieces)
+def _kinds(name: str) -> tuple[IndexKind, ...]:
+    """The kinds ``--index`` names: one, or every kind for ``all``."""
+    # in the spellings _lookup forgives; no hyphen can be part of "all"
+    return tuple(IndexKind) if name.strip().lower() == "all" else (IndexKind.parse(name),)
 
 
-def _load_source(args: argparse.Namespace) -> tuple[Graph | None, str | None, int | None]:
-    """Resolve --family/--n vs --edges into (graph, family, n).
-
-    For closed-form-only use the graph is not built, so the generator size
-    cap does not apply there; callers that need the graph build it lazily
-    via the returned family and n.
-    """
+def _check_source(args: argparse.Namespace) -> None:
+    """Check that the flags name one graph: --edges, or both --family and --n."""
     if args.edges is not None:
         if args.family is not None or args.n is not None:
             raise ValueError("--edges cannot be combined with --family/--n")
-        # only the commands that read or write an edge list compile its module
-        from .edgelist import from_edge_list
-
-        with open(args.edges, encoding="utf-8") as file:
-            if not file.seekable():
-                # a pipe cannot be read again to name a fault: hold its text
-                return from_edge_list(file.read()), None, None
-            try:
-                return from_edge_list(file), None, None
-            except UnicodeDecodeError:
-                # name the bad byte by its offset in the file, not in a block
-                file.seek(0)
-                file.read()
-                raise
-    if args.family is None or args.n is None:
+    elif args.family is None or args.n is None:
         raise ValueError("either --edges or both --family and --n are required")
-    return None, args.family, args.n
+
+
+def _graph(args: argparse.Namespace) -> Graph:
+    """The graph the source flags name: read from --edges, or the family built."""
+    _check_source(args)
+    if args.edges is None:
+        return get_family(args.family).build(args.n)
+    # only the commands that read or write an edge list compile its module
+    from .edgelist import from_edge_list
+
+    with open(args.edges, encoding="utf-8") as file:
+        if not file.seekable():
+            # a pipe cannot be read again to name a fault: hold its text
+            return from_edge_list(file.read())
+        try:
+            return from_edge_list(file)
+        except UnicodeDecodeError:
+            # name the bad byte by its offset in the file, not in a block
+            file.seek(0)
+            file.read()
+            raise
 
 
 # ---------------------------------------------------------------- generate
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace) -> Result:
     from .edgelist import _edge_list_pieces
 
-    g = get_family(args.family).build(args.n)
-    _write_output(_edge_list_pieces(g), args.out)
-    return EXIT_OK
+    return _edge_list_pieces(get_family(args.family).build(args.n)), [], EXIT_OK
 
 
 # ----------------------------------------------------------------- compute
 
 
-def _compute_records(args: argparse.Namespace) -> list[dict]:
+def _compute_line(rec: dict) -> str:
+    """One record as a text line: a closed-form check, or a single value."""
+    if "oracle_value" in rec:
+        return (
+            f"{rec['kind']}: oracle={_fmt(rec['oracle_value'])} "
+            f"closed={_fmt(rec['closed_value'])} "
+            f"rel_error={_fmt(rec['rel_error'])} pass={str(rec['pass']).lower()}\n"
+        )
+    suffix = ""
+    if rec.get("exactness_warning"):
+        suffix = "  (exactness warning: 3**(n+1) exceeds exact float range)"
+    return f"{rec['kind']} = {_fmt(rec['value'])}{suffix}\n"
+
+
+def cmd_compute(args: argparse.Namespace) -> Result:
     # the flags are checked before any edge list is read
-    kinds = list(IndexKind) if args.index == "all" else [IndexKind.parse(args.index)]
+    kinds = _kinds(args.index)
     variant = Variant.parse(args.variant)
     if args.method in ("closed", "both") and args.edges is not None:
         raise ValueError("closed forms exist only for generated families, not --edges input")
     if args.method == "both":
         check_tolerance(args.tol)
 
-    graph, family, n = _load_source(args)
-    if graph is None and args.method in ("brute", "both"):
-        graph = get_family(family).build(n)
-
+    family, n = args.family, args.n
+    if args.method == "closed":
+        _check_source(args)
+    else:
+        graph = _graph(args)
     if args.method == "both":
-        return [verify_entry(family, kind, n, graph, args.tol, variant).to_dict() for kind in kinds]
-    records = []
-    for kind in kinds:
-        rec: dict = {"family": family, "kind": kind.value, "n": n}
-        if args.method == "brute":
-            rec["method"] = "brute"
-            rec["value"] = compute_index(graph, kind)
-        else:
-            result = closed_form(family, kind, n, variant)
-            rec["method"] = "closed"
-            rec["variant"] = variant.value
-            rec["value"] = result.value
-            rec["exactness_warning"] = result.exactness_warning
-        records.append(rec)
-    return records
+        records = [verify_entry(family, kind, n, graph, args.tol, variant).to_dict() for kind in kinds]
+    else:
+        records = []
+        for kind in kinds:
+            rec: dict = {"family": family, "kind": kind.value, "n": n, "method": args.method}
+            if args.method == "brute":
+                rec["value"] = compute_index(graph, kind)
+            else:
+                result = closed_form(family, kind, n, variant)
+                rec["variant"] = variant.value
+                rec["value"] = result.value
+                rec["exactness_warning"] = result.exactness_warning
+            records.append(rec)
 
-
-def _render_compute_text(records: list[dict], method: str) -> str:
-    lines = []
-    for rec in records:
-        if method == "both":
-            lines.append(
-                f"{rec['kind']}: oracle={_fmt(rec['oracle_value'])} "
-                f"closed={_fmt(rec['closed_value'])} "
-                f"rel_error={_fmt(rec['rel_error'])} pass={str(rec['pass']).lower()}"
-            )
-        else:
-            suffix = ""
-            if rec.get("exactness_warning"):
-                suffix = "  (exactness warning: 3**(n+1) exceeds exact float range)"
-            lines.append(f"{rec['kind']} = {_fmt(rec['value'])}{suffix}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_compute(args: argparse.Namespace) -> int:
-    records = _compute_records(args)
     if args.format == "json":
         text = json.dumps(records, indent=2) + "\n"
     elif args.format == "csv":
         text = _render_csv(CHECK_COLUMNS if args.method == "both" else VALUE_COLUMNS, records)
     else:
-        text = _render_compute_text(records, args.method)
-    _write_output(text, args.out)
-    return EXIT_OK
+        text = "".join(map(_compute_line, records))
+    return text, [], EXIT_OK
 
 
 # --------------------------------------------------------------- partition
 
 
-def _resolve_partition(args: argparse.Namespace) -> EdgePartition:
+def cmd_partition(args: argparse.Namespace) -> Result:
     classify = _lookup(
         "mode", args.mode, {DEGREE: degree_partition, NEIGHBOR_SUM: neighbor_sum_partition}
     )
-    graph, family, n = _load_source(args)
-    return classify(graph if graph is not None else get_family(family).build(n))
-
-
-def cmd_partition(args: argparse.Namespace) -> int:
-    part = _resolve_partition(args)
+    part = classify(_graph(args))
     items = part.sorted_items()
     classes = [{"lo": lo, "hi": hi, "count": count} for (lo, hi), count in items]
     if args.format == "json":
@@ -207,23 +198,21 @@ def cmd_partition(args: argparse.Namespace) -> int:
     else:
         rows = [f"{lo}\t{hi}\t{count}" for (lo, hi), count in items]
         text = "\n".join(["lo\thi\tcount", *rows]) + "\n"
-    _write_output(text, args.out)
-    return EXIT_OK
+    return text, [], EXIT_OK
 
 
 # ------------------------------------------------------------------ verify
 
 
-def _verify_report(args: argparse.Namespace):
-    kinds = None if args.index == "all" else (IndexKind.parse(args.index),)
+def cmd_verify(args: argparse.Namespace) -> Result:
+    kinds = _kinds(args.index)
     variant = Variant.parse(args.variant)
     if (args.n_min is None) != (args.n_max is None):
         raise ValueError("--n-min and --n-max must be given together")
     n_range = None if args.n_min is None else (args.n_min, args.n_max)
 
     families = tuple(FAMILIES) if args.family == "all" else (args.family,)
-
-    return combine_reports(
+    report = combine_reports(
         [
             verify_family(
                 family,
@@ -235,47 +224,32 @@ def _verify_report(args: argparse.Namespace):
             for family in families
         ]
     )
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    report = _verify_report(args)
     if args.format == "csv":
         text = _render_csv(CHECK_COLUMNS, [e.to_dict() for e in report.entries])
     else:
         text = report.to_json() + "\n"
-    _write_output(text, args.out)
-    for erratum in report.errata:
-        print(f"erratum: {erratum.location}: {erratum.description}", file=sys.stderr)
-    return EXIT_OK if report.summary.failed == 0 else EXIT_VERIFY_FAILED
+    errata = [f"erratum: {e.location}: {e.description}" for e in report.errata]
+    return text, errata, EXIT_OK if report.summary.failed == 0 else EXIT_VERIFY_FAILED
 
 
 # ------------------------------------------------------------------ errata
 
 
-def cmd_errata(args: argparse.Namespace) -> int:
+def cmd_errata(args: argparse.Namespace) -> Result:
     errata = errata_report(args.n)
     if args.format == "json":
-        text = json.dumps([e.to_dict() for e in errata], indent=2) + "\n"
-    else:
-        blocks = []
-        for e in errata:
-            lines = [f"location: {e.location}", f"  {e.description}"]
-            for key, value in e.evidence.items():
-                rendered = _fmt(value) if isinstance(value, float) else str(value)
-                lines.append(f"  {key} = {rendered}")
-            blocks.append("\n".join(lines))
-        text = "\n\n".join(blocks) + "\n"
-    _write_output(text, args.out)
-    return EXIT_OK
+        return json.dumps([e.to_dict() for e in errata], indent=2) + "\n", [], EXIT_OK
+    blocks = []
+    for e in errata:
+        lines = [f"location: {e.location}", f"  {e.description}"]
+        for key, value in e.evidence.items():
+            rendered = _fmt(value) if isinstance(value, float) else str(value)
+            lines.append(f"  {key} = {rendered}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n", [], EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
-
-
-def _add_source_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=tuple(FAMILIES), help="graph family")
-    sub.add_argument("--n", type=int, help="family size parameter")
-    sub.add_argument("--edges", metavar="PATH", help="edge-list file instead of a family")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,28 +264,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def finish(p, func, formats=(), out="output"):
+        # every command's last options, and the function that runs it
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
+        p.add_argument("--out", metavar="PATH", help=f"{out} path (default: stdout)")
+        p.set_defaults(func=func)
+
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--family", choices=tuple(FAMILIES), help="graph family")
+    source.add_argument("--n", type=int, help="family size parameter")
+    source.add_argument("--edges", metavar="PATH", help="edge-list file instead of a family")
+
     p = sub.add_parser("generate", help="write a family graph as an edge list")
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_generate)
+    finish(p, cmd_generate)
 
-    p = sub.add_parser("compute", help="compute index values for a graph")
-    _add_source_options(p)
+    p = sub.add_parser("compute", help="compute index values for a graph", parents=[source])
     p.add_argument("--index", default="all", help="index name or 'all'")
     p.add_argument("--method", default="brute", choices=("brute", "closed", "both"))
     p.add_argument("--variant", default="proof-derived", help="closed-form variant (abc4 only)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="pass tolerance for --method both")
-    p.add_argument("--format", default="text", choices=("text", "csv", "json"))
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_compute)
+    finish(p, cmd_compute, ("text", "csv", "json"))
 
-    p = sub.add_parser("partition", help="tabulate an edge partition")
-    _add_source_options(p)
+    p = sub.add_parser("partition", help="tabulate an edge partition", parents=[source])
     p.add_argument("--mode", default="degree", help="degree or neighbor-sum")
-    p.add_argument("--format", default="text", choices=("text", "csv", "json"))
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_partition)
+    finish(p, cmd_partition, ("text", "csv", "json"))
 
     p = sub.add_parser("verify", help="check closed forms against brute force")
     p.add_argument("--family", default="all", choices=(*FAMILIES, "all"))
@@ -320,15 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, help="range end (inclusive)")
     p.add_argument("--variant", default="proof-derived", help="closed-form variant (abc4 only)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--format", default="json", choices=("json", "csv"))
-    p.add_argument("--out", metavar="PATH", help="report path (default: stdout)")
-    p.set_defaults(func=cmd_verify)
+    finish(p, cmd_verify, ("json", "csv"), out="report")
 
     p = sub.add_parser("errata", help="report the discrepancies the checks expose")
     p.add_argument("--n", type=int, default=3, help="probe size for the numeric evidence")
-    p.add_argument("--format", default="text", choices=("text", "json"))
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_errata)
+    finish(p, cmd_errata, ("text", "json"))
 
     return parser
 
@@ -337,13 +312,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        output, stderr_lines, code = args.func(args)
+        sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+        with sink as file:
+            file.writelines([output] if isinstance(output, str) else output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    for line in stderr_lines:
+        print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

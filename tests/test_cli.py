@@ -21,7 +21,7 @@ from topoindices import (
     graph,
     to_edge_list,
 )
-from topoindices.cli import _resolve_partition, build_parser, main
+from topoindices.cli import build_parser, cmd_partition, main
 from topoindices.closed_forms import FAMILIES
 
 TRIANGLE = "0 1\n1 2\n0 2\n"
@@ -841,8 +841,8 @@ class TestArgparseContract:
 
 
 def _partition_mode(name):
-    args = argparse.Namespace(mode=name, edges=None, family="dw", n=3)
-    return _resolve_partition(args).mode
+    args = argparse.Namespace(mode=name, edges=None, family="dw", n=3, format="json")
+    return json.loads(cmd_partition(args)[0])["mode"]
 
 
 # lookup (canonical name in, canonical name out), its known names, and the
@@ -886,3 +886,17 @@ def test_name_lookups_share_spellings_and_errors(capsys, lookup, known, argv):
     assert out == ""
     assert listed in err
 
+
+@pytest.mark.parametrize("spelling", ["ALL", " all ", "All"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--family", "dw", "--n", "3"],
+        ["verify", "--family", "hanoi", "--n-min", "3", "--n-max", "3"],
+    ],
+    ids=["compute", "verify"],
+)
+def test_index_all_forgives_spelling(capsys, argv, spelling):
+    expected = run(capsys, *argv, "--index", "all")
+    assert expected[0] == 0
+    assert run(capsys, *argv, "--index", spelling) == expected
