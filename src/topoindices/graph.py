@@ -205,7 +205,9 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     signed 4-byte item keeps below ``2**31``. A block whose lanes all equal
     its first degree is counted with one comparison against that degree
     times ``_ONES`` and written as that degree repeated; only the other
-    blocks are converted back to bytes and fed to the ``Counter``.
+    blocks are converted back to bytes and fed to the ``Counter``. A short
+    last block fails that comparison unless its degrees are all 0, and is
+    converted.
 
     The column is a ``bytearray`` while every degree is below 256. At the
     first block that holds a larger one, the bytes are dropped and the pass
@@ -218,22 +220,17 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     while True:
         narrow = isinstance(column, bytearray)
         counts: Counter[int] = Counter()
-        ones = _ONES
         with memoryview(offsets).cast("B") as raw:
             for start in range(0, vertex_count, _BLOCK):
                 end = min(start + _BLOCK, vertex_count)
                 size = end - start
-                if size < _BLOCK:
-                    # the last, short block: every lane of _ONES is alike, so
-                    # its low lanes are the short block's pattern
-                    ones &= (1 << 8 * _LANE * size) - 1
                 lo, hi = start * _LANE, end * _LANE
                 lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
                 lanes -= int.from_bytes(raw[lo:hi], order)
                 if narrow and lanes & _HIGH_BITS:
                     break
                 first = offsets[start + 1] - offsets[start]
-                if lanes == first * ones:
+                if lanes == first * _ONES:
                     counts[first] += size
                     column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
                 else:
