@@ -316,6 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
         with sink as file:
             file.writelines([output] if isinstance(output, str) else output)
+            # on a stream shared with stderr, the output comes before its errata
+            file.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

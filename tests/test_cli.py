@@ -695,11 +695,17 @@ class TestModuleEntryPoint:
             "09eb976d70ebcb2c653595fced9fd6416b6d34145b4d1eb9087845690d19d143"
         )
 
-    def test_verify_report_then_errata_on_one_stream(self):
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_verify_report_then_errata_on_one_stream(self, unbuffered):
+        # buffered, the default, stdout holds the report until exit unless
+        # main flushes it before writing the errata
+        env = {**os.environ, "PYTHONPATH": SRC_PATH, "PYTHONUNBUFFERED": "1"}
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
         proc = subprocess.run(
             [sys.executable, "-m", "topoindices", "verify", "--family", "hanoi",
              "--n-min", "3", "--n-max", "4"],
-            env={**os.environ, "PYTHONPATH": SRC_PATH},
+            env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
