@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable
 from contextlib import nullcontext
@@ -105,16 +106,7 @@ def _graph(args: argparse.Namespace) -> Graph:
     from .edgelist import from_edge_list
 
     with open(args.edges, encoding="utf-8") as file:
-        if not file.seekable():
-            # a pipe cannot be read again to name a fault: hold its text
-            return from_edge_list(file.read())
-        try:
-            return from_edge_list(file)
-        except UnicodeDecodeError:
-            # name the bad byte by its offset in the file, not in a block
-            file.seek(0)
-            file.read()
-            raise
+        return from_edge_list(file)
 
 
 # ---------------------------------------------------------------- generate
@@ -322,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone: the interpreter's last flush of what
+            # stdout still holds goes to the null device, not to the pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     for line in stderr_lines:

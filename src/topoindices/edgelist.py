@@ -3,11 +3,12 @@
 
 The format is one edge per line as two whitespace-separated 0-based vertex
 ids; lines starting with ``#`` and blank lines are ignored, and lines break
-as in ``str.splitlines``. The reader takes a ``str`` or an open, seekable
-text file, reads it a block at a time, a file once and again only to name
-a fault, checks every line and builds a validated, connected
-:class:`~topoindices.graph.Graph`; the writer lists the edges of a graph,
-``u < v`` and sorted, in pieces of bounded size.
+as in ``str.splitlines``. The reader takes a ``str`` or an open text file,
+reads it a block at a time, a file once and again only to name a fault (a
+pipe, which cannot be read again, whole first), checks every line and
+builds a validated, connected :class:`~topoindices.graph.Graph`; the writer
+lists the edges of a graph, ``u < v`` and sorted, in pieces of bounded
+size.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _read_lines(chunk: str, ends: array) -> int | None:
 
 
 def from_edge_list(source: str | TextIO) -> Graph:
-    """Parse edge-list text, a ``str`` or an open, seekable text file, into a
+    """Parse edge-list text, a ``str`` or an open text file, into a
     validated, connected :class:`Graph`.
 
     Format: one edge per line as two whitespace-separated 0-based vertex
@@ -154,8 +155,24 @@ def from_edge_list(source: str | TextIO) -> Graph:
     ``ValueError`` raised names the first faulty line, whatever its fault.
     Last, the graph must be non-empty and connected, as
     :meth:`Graph.validate` checks.
+
+    A file that cannot seek, such as a pipe, cannot be read again, so its
+    text is read whole first and parsed as a ``str``. A file whose block
+    reads meet a byte that is not UTF-8 is read whole once more, from its
+    start, and that read's ``UnicodeDecodeError`` is raised: it names the
+    byte by its offset in the file, not in its block.
     """
-    columns, line_count = _read_edges(_line_chunks(source))
+    if not isinstance(source, str) and not source.seekable():
+        # a pipe cannot be read again to name a fault: its text is held
+        source = source.read()
+    try:
+        columns, line_count = _read_edges(_line_chunks(source))
+    except UnicodeDecodeError:
+        # read whole, the text names the bad byte by its offset in the
+        # file, not in its block
+        source.seek(0)
+        source.read()
+        raise
     if columns is None:
         raise ValueError(_first_fault(_line_chunks(source), line_count))
     reached, repeats = _walk(*columns)

@@ -25,7 +25,7 @@ from array import array
 from collections.abc import Iterator
 from itertools import pairwise
 
-from .graph import TYPECODE, Graph
+from .graph import _LANE, TYPECODE, Graph
 
 # Size caps of the generators, so that no build the CLI allows passes 1 GB
 # resident (peaks are the ru_maxrss of the command's own process, from
@@ -141,7 +141,6 @@ def _hanoi_moves(n: int) -> Iterator[tuple[int, int, int, int, int]]:
 # Items of a column written by one big-int add at most, so that a block
 # stays small beside the columns it writes.
 _BLOCK = 1 << 14
-_WIDTH = array(TYPECODE).itemsize
 # every lane 1: its lanes are alike, so its low lanes are its first ones in
 # either byte order
 _ONES = int.from_bytes(array(TYPECODE, [1]) * _BLOCK, sys.byteorder)
@@ -152,8 +151,8 @@ def _ramp() -> bytes:
     # range, then by doubling, the items so far plus their number in every
     # lane being the next as many, which is cheaper than a range of them all
     raw = array(TYPECODE, range(256)).tobytes()
-    while len(raw) < _BLOCK * _WIDTH:
-        lanes = int.from_bytes(raw, sys.byteorder) + len(raw) // _WIDTH * (_ONES & (1 << 8 * len(raw)) - 1)
+    while len(raw) < _BLOCK * _LANE:
+        lanes = int.from_bytes(raw, sys.byteorder) + len(raw) // _LANE * (_ONES & (1 << 8 * len(raw)) - 1)
         raw += lanes.to_bytes(len(raw), sys.byteorder)
     return raw
 
@@ -176,12 +175,12 @@ def _write(column: array, pos: int, stride: int, first: int, step: int, count: i
     next.
     """
     order = sys.byteorder
-    size = min(count, _BLOCK) * _WIDTH
+    size = min(count, _BLOCK) * _LANE
     ones = _ONES & (1 << 8 * size) - 1
     value = first * ones + step * int.from_bytes(_RAMP[:size], order)
-    span = size // _WIDTH * step * ones
+    span = size // _LANE * step * ones
     for done in range(0, count, _BLOCK):
-        block = array(TYPECODE, value.to_bytes(size, order)[: (count - done) * _WIDTH])
+        block = array(TYPECODE, value.to_bytes(size, order)[: (count - done) * _LANE])
         start = pos + done * stride
         column[start : start + len(block) * stride : stride] = block
         value += span

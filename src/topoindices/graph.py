@@ -33,25 +33,9 @@ list, the per-vertex reads, and the edge-class tables of
 labeling's name (:data:`DEGREE` or :data:`NEIGHBOR_SUM`). The tables are
 the one derived value that is cached, on first use.
 
-The tables are counted by exception. A vertex's label depends only on the
-degrees of the vertex and of its neighbors: with ``d0`` the most common
-degree, a neighbor sum is ``d0`` per neighbor, corrected by ``deg(u) - d0``
-for each neighbor ``u`` of another degree. One such ``u`` is the hub, the
-first vertex of the highest degree when that is above ``d0``. When the
-hub's row lists every id of its span but, at most, the hub itself, as the
-double wheel's hub row does whatever the hub's id, its correction is added
-to that interval of ids at once, and the hub's own label comes from the
-offsets alone. Every other vertex of another degree, the hub too when its
-row is no span, has the sums of its row's targets read from their own
-rows. Only the rows of vertices off the most common label are walked edge
-by edge, the hub's span row with one count of its slice of labels, and the
-rest of the edges are counted from the totals. In ``hanoi(n)`` that is the
-three corners and their six neighbors out of ``3**n`` vertices, in the
-double wheel the hub alone; in a graph of scattered degrees it is nearly
-every vertex, and the count costs about what counting every slot would.
-Besides the two columns, the count holds a degree and a label id per
-vertex, one byte each while they fit in a byte: in ``hanoi(n)``, two bytes
-per vertex against the graph's 16.
+The tables are counted by exception, as :meth:`Graph.edge_classes`
+describes: only the rows of the vertices off the most common label are
+walked.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -210,39 +194,39 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     converted.
 
     The column is a ``bytearray`` while every degree is below 256. At the
-    first block that holds a larger one, the bytes are dropped and the pass
-    starts again into an ``array`` of ``TYPECODE`` ints, so that no narrow
-    copy is held beside the wide column.
+    first block that holds a larger one, it widens in place: the degrees
+    written so far become the low bytes of a zeroed ``array`` of
+    ``TYPECODE`` ints, in one strided copy, and the pass goes on into it,
+    so that each block is read once.
     """
     order = sys.byteorder
     vertex_count = len(offsets) - 1
     column: _Column = bytearray(vertex_count)
-    while True:
-        narrow = isinstance(column, bytearray)
-        counts: Counter[int] = Counter()
-        with memoryview(offsets).cast("B") as raw:
-            for start in range(0, vertex_count, _BLOCK):
-                end = min(start + _BLOCK, vertex_count)
-                size = end - start
-                lo, hi = start * _LANE, end * _LANE
-                lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
-                lanes -= int.from_bytes(raw[lo:hi], order)
-                if narrow and lanes & _HIGH_BITS:
-                    break
-                first = offsets[start + 1] - offsets[start]
-                if lanes == first * _ONES:
-                    counts[first] += size
-                    column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
-                else:
-                    items = lanes.to_bytes(hi - lo, order)
-                    column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
-                    counts.update(column[start:end])
+    narrow = True
+    counts: Counter[int] = Counter()
+    with memoryview(offsets).cast("B") as raw:
+        for start in range(0, vertex_count, _BLOCK):
+            end = min(start + _BLOCK, vertex_count)
+            size = end - start
+            lo, hi = start * _LANE, end * _LANE
+            lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
+            lanes -= int.from_bytes(raw[lo:hi], order)
+            if narrow and lanes & _HIGH_BITS:
+                # each degree so far goes to the low byte of its lane;
+                # `array(TYPECODE, column)` would read the bytes as raw items
+                wide = array(TYPECODE, [0]) * vertex_count
+                memoryview(wide).cast("B")[_LOW_BYTE : lo : _LANE] = memoryview(column)[:start]
+                column = wide
+                narrow = False
+            first = offsets[start + 1] - offsets[start]
+            if lanes == first * _ONES:
+                counts[first] += size
+                column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
             else:
-                return column, counts
-        # a block holds a degree of 256 or more: the bytes are dropped before
-        # the wide column is made
-        del column
-        column = array(TYPECODE, [0]) * vertex_count
+                items = lanes.to_bytes(hi - lo, order)
+                column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
+                counts.update(column[start:end])
+    return column, counts
 
 
 def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
@@ -453,7 +437,11 @@ class Graph:
 
         No other row is read but the hub's, tested for a span, which the
         invariant of every ``Graph`` makes sound: ids are in range, rows are
-        symmetric, and no slot is a loop or a repeat.
+        symmetric, and no slot is a loop or a repeat. ``d0``, the hub and
+        the most common id choose only which rows are read, never the
+        tables: each step is exact for any ``d0``, any hub and any common
+        id, so a tie broken the other way costs more or less, and counts
+        the same.
         """
         if self._classes is not None:
             return self._classes
@@ -479,14 +467,13 @@ class Graph:
         # vertices of another degree, but for a hub whose row is a span, and
         # the targets of their rows
         p_runs = _without(odd, spanned)
-        if p_runs:
-            in_p = bytearray(vertex_count)
-            for start, end in p_runs:
-                in_p[start:end] = b"\x01" * (end - start)
-            for v in _pieces(targets, _slots(offsets, p_runs)):
-                in_p[v] = 1
-            p_runs = _without(_runs(in_p), spanned)
-            del in_p
+        in_p = bytearray(vertex_count)
+        for start, end in p_runs:
+            in_p[start:end] = b"\x01" * (end - start)
+        for v in _pieces(targets, _slots(offsets, p_runs)):
+            in_p[v] = 1
+        p_runs = _without(_runs(in_p), spanned)
+        del in_p
 
         # Labels, each ranked to a small id: (d0, d0 * d0 + deg - d0) over the
         # hub's span, then the hub's own, then P's, streamed. The hub's sum is

@@ -717,6 +717,28 @@ class TestModuleEntryPoint:
             "c90a952e71047d7b4ee66cbc30712ee7a2afbabfa38fd6ba92a5ad2e0e4058f8"
         )
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv", ["compute --family dw --n 5", "generate --family hanoi --n 9"]
+    )
+    def test_closed_stdout_exits_3(self, unbuffered, argv):
+        # the reader is gone before the first write; buffered, stdout still
+        # holds the output when the interpreter flushes it at exit
+        env = {**os.environ, "PYTHONPATH": SRC_PATH, "PYTHONUNBUFFERED": "1"}
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "topoindices", *argv.split()],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 3
+        assert err == "error: [Errno 32] Broken pipe\n"
+
     @pytest.mark.parametrize(
         "command", ["", "generate", "compute", "partition", "verify", "errata"]
     )

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import os
 import random
 import sys
 import tempfile
@@ -753,6 +754,39 @@ class TestEdgeListSources:
         else:
             assert from_edge_list(file) == double_wheel(300)
         assert starts == [(0,)] * reads
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0 1\n1 2\n", Graph(3, [(0, 1), (1, 2)])),
+            ("0 1\n1 2\n1 0\n", "line 3: duplicate edge (0, 1)"),
+        ],
+        ids=["valid", "duplicate"],
+    )
+    def test_pipe_is_read_whole(self, text, expected):
+        # a pipe cannot seek, so it cannot be read again to name a fault
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as file:
+            assert not file.seekable()
+            try:
+                outcome = from_edge_list(file)
+            except ValueError as error:
+                outcome = str(error)
+        assert outcome == expected
+
+    def test_bad_byte_named_by_its_offset_in_the_file(self, tmp_path):
+        # the byte lies past the first block, so its offset in its block differs
+        data = to_edge_list(double_wheel(3000)).encode() + b"0 \xff\n"
+        assert len(data) > _READ_CHUNK
+        with pytest.raises(UnicodeDecodeError) as expected:
+            data.decode("utf-8")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as file, pytest.raises(UnicodeDecodeError) as info:
+            from_edge_list(file)
+        assert str(info.value) == str(expected.value)
 
 
 def assert_same_outcome(text):

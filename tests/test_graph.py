@@ -331,6 +331,59 @@ class TestEdgeClasses:
         assert_degree_column(g)
         assert classes(g) == reference_edge_classes(g)
 
+    @pytest.mark.parametrize("hub", [_BLOCK, 2000], ids=["late-block-first-lane", "short-last-block"])
+    def test_hub_swapped_into_a_later_block(self, hub):
+        # dw(1000)'s hub swapped with a ring vertex: the column is narrow
+        # until the hub's block, the first lane of block 1 or the last lane
+        # of the short last block of 2001 % _BLOCK = 209 lanes, and widens
+        # there with the degrees before it kept
+        n = 1000
+        ids = list(range(2 * n + 1))
+        ids[0], ids[hub] = hub, 0
+        g = Graph(2 * n + 1, [(ids[u], ids[v]) for u, v in double_wheel(n).edges()])
+        assert isinstance(_degree_column(g._offsets)[0], array)
+        assert_degree_column(g)
+        assert classes(g) == reference_edge_classes(g) == classes(double_wheel(n))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(1000, [(1, 2), (2, 3), (3, 1), (500, 501)]),
+            # a 300-leaf star centred in a late block, at its first lane or
+            # inside it, the other vertices isolated
+            Graph(4 * _BLOCK, [(3 * _BLOCK, v) for v in range(300)]),
+            Graph(4 * _BLOCK, [(3 * _BLOCK + 100, v) for v in range(300)]),
+        ],
+        ids=["triangle-and-edge", "star-first-lane", "star-inside"],
+    )
+    def test_most_common_degree_0(self, g):
+        counts = _degree_column(g._offsets)[1]
+        assert counts.most_common(1)[0][0] == 0
+        assert_degree_column(g)
+        assert classes(g) == reference_edge_classes(g)
+
+    def test_tied_most_common_degrees(self):
+        # a spider of 300 two-edge legs: 300 leaves of degree 1 and 300
+        # middles of degree 2. The degree met first is d0, so numbering the
+        # leaves or the middles first picks either; the tables are the same
+        legs = 300
+
+        def spider(leaves_first):
+            leaves, middles = (0, legs) if leaves_first else (legs, 0)
+            hub = 2 * legs
+            edges = [(hub, middles + i) for i in range(legs)]
+            edges += [(middles + i, leaves + i) for i in range(legs)]
+            return Graph(2 * legs + 1, edges)
+
+        d0s = []
+        for g in map(spider, (True, False)):
+            counts = _degree_column(g._offsets)[1]
+            d0s.append(max(counts, key=counts.__getitem__))
+            assert counts[1] == counts[2] == legs
+            assert_degree_column(g)
+            assert classes(g) == reference_edge_classes(g) == classes(spider(True))
+        assert d0s == [1, 2]
+
     def test_shuffled_double_wheel(self):
         # the hub's row is one run of ids in shuffled order, 1..2n
         g = from_edge_list(shuffled_edge_list(to_edge_list(double_wheel(700)), seed=3))
