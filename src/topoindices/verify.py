@@ -11,7 +11,7 @@ serialize deterministically so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
@@ -28,6 +28,9 @@ MISMATCH_ERROR = 0.1
 # Avoids division by zero in relative errors; index values in scope are
 # all >= 1, so this floor never activates in practice.
 _REL_ERROR_FLOOR = 1e-300
+
+# Encoder chunks per join in VerificationReport.to_json.
+_JSON_BATCH = 1024
 
 
 class VerificationEntry(NamedTuple):
@@ -80,7 +83,19 @@ class VerificationReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as JSON, equal byte for byte to
+        ``json.dumps(self.to_dict(), indent=2)``.
+
+        With an indent the stdlib encoder yields one short string per token,
+        and ``json.dumps`` holds all of them in one list before it joins them,
+        about eight times the report's size. Joining ``_JSON_BATCH`` chunks at
+        a time holds one batch of them beside the joined pieces instead.
+        """
+        chunks = json.JSONEncoder(indent=2).iterencode(self.to_dict())
+        pieces = []
+        while batch := list(islice(chunks, _JSON_BATCH)):
+            pieces.append("".join(batch))
+        return "".join(pieces)
 
 
 def relative_error(closed: float, oracle: float) -> float:
@@ -123,12 +138,14 @@ def verify_entry(
     )
 
 
-def _report(entries: tuple[VerificationEntry, ...]) -> VerificationReport:
-    """``entries`` under their summary, with the errata."""
+def _report(
+    entries: tuple[VerificationEntry, ...], errata: tuple[Erratum, ...]
+) -> VerificationReport:
+    """``entries`` under their summary, with ``errata``."""
     passed = sum(1 for e in entries if e.passed)
     max_err = max((e.rel_error for e in entries), default=0.0)
     summary = Summary(len(entries), passed, len(entries) - passed, max_err)
-    return VerificationReport(entries, summary, tuple(errata_report()))
+    return VerificationReport(entries, summary, errata)
 
 
 def verify_family(
@@ -185,13 +202,18 @@ def verify_family(
                 entries[kind].append(verify_entry(family, kind, n, graph, tolerance, variant))
         del graph
 
-    return _report(tuple(chain.from_iterable(entries.values())))
+    return _report(tuple(chain.from_iterable(entries.values())), tuple(errata_report()))
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
-    """Concatenate entries from several reports under one summary; errata
-    are recomputed so the combined report carries them exactly once."""
-    return _report(tuple(e for report in reports for e in report.entries))
+    """Concatenate entries from several reports under one summary. The
+    combined report carries the errata once: those of its inputs when they
+    all agree, recomputed for an empty list or inputs that disagree."""
+    if reports and all(report.errata == reports[0].errata for report in reports):
+        errata = reports[0].errata
+    else:
+        errata = tuple(errata_report())
+    return _report(tuple(e for report in reports for e in report.entries), errata)
 
 
 def verify_all(

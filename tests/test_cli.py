@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -738,6 +739,40 @@ class TestModuleEntryPoint:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 3
         assert err == "error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+    def test_same_bytes_under_other_interpreters(self, tmp_path, version):
+        # requires-python admits every 3.x from 3.10, and the report is
+        # rendered by the stdlib json module of whichever one runs it
+        exe = shutil.which(f"python{version}")
+        if exe is None:
+            pytest.skip(f"python{version} is not installed")
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        if probe.returncode != 0 or probe.stdout.strip() != version:
+            pytest.skip(f"python{version} is found but does not start as {version}")
+        edges = tmp_path / "hanoi3.txt"
+        edges.write_text(to_edge_list(FAMILIES["hanoi"].build(3)), encoding="utf-8")
+        outputs = {}
+        for interpreter in (sys.executable, exe):
+            report = tmp_path / f"{Path(interpreter).name}.json"
+            runs = [
+                subprocess.run(
+                    [interpreter, "-m", "topoindices", *argv],
+                    env={**os.environ, "PYTHONPATH": SRC_PATH},
+                    capture_output=True,
+                    timeout=120,
+                )
+                for argv in (["verify", "--out", str(report)], ["compute", "--edges", str(edges)])
+            ]
+            outputs[interpreter] = [(r.returncode, r.stdout, r.stderr) for r in runs]
+            outputs[interpreter].append(report.read_bytes())
+        assert outputs[exe] == outputs[sys.executable]
+        assert outputs[exe][0][0] == 0
 
     @pytest.mark.parametrize(
         "command", ["", "generate", "compute", "partition", "verify", "errata"]

@@ -84,15 +84,15 @@ CLI_SPANS = [
             "cli.main": 1,
             "verify.verify_family": 2,
             "verify.combine_reports": 1,
-            "verify.errata_report": 3,
+            "verify.errata_report": 2,
             "verify.report_json": 1,
-            "generators.double_wheel": 65,
-            "generators.hanoi": 13,
-            "indices.compute_index": 418,
-            "closed_forms.closed_form": 421,
-            "closed_forms.dw_closed_form": 381,
+            "generators.double_wheel": 64,
+            "generators.hanoi": 11,
+            "indices.compute_index": 416,
+            "closed_forms.closed_form": 418,
+            "closed_forms.dw_closed_form": 378,
             "closed_forms.hanoi_closed_form": 40,
-            "partition.neighbor_sum": 6,
+            "partition.neighbor_sum": 4,
         },
     ),
     (

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -169,6 +170,21 @@ class TestVerifyAll:
         assert combined.summary.total == 4
         assert len(combined.errata) == 3
 
+    def test_combine_reports_reuses_agreeing_errata(self):
+        # errata that agree are taken as they are, not recomputed
+        erratum = verify.Erratum("somewhere", "something", {"n": 3})
+        a = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 3))._replace(errata=(erratum,))
+        b = verify_family("hanoi", kinds=(IndexKind.GA,), n_range=(2, 2))._replace(errata=(erratum,))
+        assert combine_reports([a, b]).errata == (erratum,)
+
+    def test_combine_reports_recomputes_disagreeing_or_missing_errata(self):
+        a = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 3))
+        expected = tuple(errata_report())
+        assert a.errata == expected
+        assert combine_reports([a._replace(errata=()), a]).errata == expected
+        empty = combine_reports([])
+        assert (empty.entries, empty.summary.total, empty.errata) == ((), 0, expected)
+
 
 class TestOraclePath:
     def test_oracle_is_independent_of_closed_forms(self):
@@ -295,6 +311,34 @@ class TestReportSerialization:
         parsed = json.loads(report.to_json())
         assert parsed == report.to_dict()
         assert json.dumps(parsed, indent=2) == report.to_json()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            verify_all,
+            lambda: combine_reports([]),
+            lambda: verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 3)),
+        ],
+        ids=["verify_all", "no_entries", "one_entry"],
+    )
+    @pytest.mark.parametrize("batch", [1, 7, verify._JSON_BATCH])
+    def test_json_equals_json_dumps(self, monkeypatch, make, batch):
+        report = make()
+        monkeypatch.setattr(verify, "_JSON_BATCH", batch)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    def test_json_peak_memory_is_bounded(self):
+        # json.dumps with an indent holds every encoder chunk in one list, about
+        # 7.8 times the text's length on the default report; to_json's batches
+        # keep it near 3 times
+        report = verify_all()
+        tracemalloc.start()
+        try:
+            text = report.to_json()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
     def test_dict_shape(self):
         report = verify_family("dw", kinds=(IndexKind.GA,), n_range=(3, 3))
