@@ -25,8 +25,8 @@ for n in (3, 4, 6, 10, 20, 40, 64):
     print(f"{n:>4} {stated:>14.6f} {derived:>14.6f} {oracle:>14.6f} {gap:>7.1%}")
 
 print()
-print("full errata report at probe n=3:")
-for erratum in errata_report(3):
+print("full errata report:")
+for erratum in errata_report():
     print(f"- {erratum.location}")
     print(f"    {erratum.description}")
     if erratum.evidence:

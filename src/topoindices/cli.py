@@ -33,14 +33,7 @@ from .partition import (
     degree_partition,
     neighbor_sum_partition,
 )
-from .verify import (
-    DEFAULT_TOLERANCE,
-    check_tolerance,
-    combine_reports,
-    errata_report,
-    verify_entry,
-    verify_family,
-)
+from .verify import combine_reports, errata_report, verify_entry, verify_family
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -141,8 +134,6 @@ def cmd_compute(args: argparse.Namespace) -> Result:
     variant = Variant.parse(args.variant)
     if args.method in ("closed", "both") and args.edges is not None:
         raise ValueError("closed forms exist only for generated families, not --edges input")
-    if args.method == "both":
-        check_tolerance(args.tol)
 
     family, n = args.family, args.n
     if args.method == "closed":
@@ -150,7 +141,7 @@ def cmd_compute(args: argparse.Namespace) -> Result:
     else:
         graph = _graph(args)
     if args.method == "both":
-        records = [verify_entry(family, kind, n, graph, args.tol, variant).to_dict() for kind in kinds]
+        records = [verify_entry(family, kind, n, graph, variant).to_dict() for kind in kinds]
     else:
         records = []
         for kind in kinds:
@@ -206,13 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
     families = tuple(FAMILIES) if args.family == "all" else (args.family,)
     report = combine_reports(
         [
-            verify_family(
-                family,
-                kinds=kinds,
-                n_range=n_range,
-                tolerance=args.tol,
-                variant=variant,
-            )
+            verify_family(family, kinds=kinds, n_range=n_range, variant=variant)
             for family in families
         ]
     )
@@ -228,7 +213,7 @@ def cmd_verify(args: argparse.Namespace) -> Result:
 
 
 def cmd_errata(args: argparse.Namespace) -> Result:
-    errata = errata_report(args.n)
+    errata = errata_report()
     if args.format == "json":
         return json.dumps([e.to_dict() for e in errata], indent=2) + "\n", [], EXIT_OK
     blocks = []
@@ -277,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", default="all", help="index name or 'all'")
     p.add_argument("--method", default="brute", choices=("brute", "closed", "both"))
     p.add_argument("--variant", default="proof-derived", help="closed-form variant (abc4 only)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE, help="pass tolerance for --method both")
     finish(p, cmd_compute, ("text", "csv", "json"))
 
     p = sub.add_parser("partition", help="tabulate an edge partition", parents=[source])
@@ -290,11 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, help="range start (default: per-kind range)")
     p.add_argument("--n-max", type=int, help="range end (inclusive)")
     p.add_argument("--variant", default="proof-derived", help="closed-form variant (abc4 only)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     finish(p, cmd_verify, ("json", "csv"), out="report")
 
     p = sub.add_parser("errata", help="report the discrepancies the checks expose")
-    p.add_argument("--n", type=int, default=3, help="probe size for the numeric evidence")
     finish(p, cmd_errata, ("text", "json"))
 
     return parser

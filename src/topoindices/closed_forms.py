@@ -61,13 +61,19 @@ class ClosedFormResult(NamedTuple):
 
 def _checked(family: str):
     """Give a family's closed form the checks both families share: ``TypeError``
-    unless ``n`` is an ``int`` (not a ``bool``), ``ValueError`` when ``n`` is
+    unless ``kind`` is an :class:`IndexKind`, ``variant`` a :class:`Variant`
+    and ``n`` an ``int`` (not a ``bool``), ``ValueError`` when ``n`` is
     below the family's floor for ``kind``, the form divides by zero at ``n``,
     or the value overflows a float."""
 
     def decorate(formula):
         @functools.wraps(formula)
         def checked(kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED):
+            # each formula's last branch takes any kind or variant it did not name
+            if not isinstance(kind, IndexKind):
+                raise TypeError(f"kind must be an IndexKind member, got {kind!r}")
+            if not isinstance(variant, Variant):
+                raise TypeError(f"variant must be a Variant member, got {variant!r}")
             _require_int(n)
             floor = FAMILIES[family].min_n(kind)
             if n < floor:

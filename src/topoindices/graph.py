@@ -352,9 +352,6 @@ class Graph:
         self._check_vertex(v)
         return self._targets[self._offsets[v] : self._offsets[v + 1]]
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._row(v))
-
     def degree(self, v: int) -> int:
         """Number of vertices adjacent to ``v``."""
         self._check_vertex(v)

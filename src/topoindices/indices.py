@@ -50,10 +50,13 @@ class IndexKind(enum.Enum):
 def edge_term(kind: IndexKind, a: int, b: int) -> float:
     """Weight contributed by one edge whose endpoint labels are ``a`` and ``b``.
 
-    Symmetric in ``(a, b)``. Labels must be positive; on a valid connected
-    graph both degrees and neighbor-degree sums always are, so the guard
-    only protects generic callers.
+    Symmetric in ``(a, b)``. ``kind`` must be an :class:`IndexKind`, since
+    the last branch takes any kind not named before it. Labels must be
+    positive; on a valid connected graph both degrees and neighbor-degree
+    sums always are, so the guard only protects generic callers.
     """
+    if not isinstance(kind, IndexKind):
+        raise TypeError(f"kind must be an IndexKind member, got {kind!r}")
     if a < 1 or b < 1:
         raise ValueError(f"edge labels must be positive, got ({a}, {b})")
     if kind is IndexKind.RANDIC:

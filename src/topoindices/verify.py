@@ -2,10 +2,11 @@
 
 The oracle path builds the graph with the family's generator and sums edge
 weights directly, so no closed form enters it; the closed-form path
-evaluates the published expression. Each (family, kind, n) entry records both values,
-their relative error, and pass/fail at the given tolerance. Reports also
-carry the errata these checks expose in the published derivations, and
-serialize deterministically so identical runs are byte-identical.
+evaluates the published expression. Each (family, kind, n) entry records
+both values, their relative error, and pass/fail at ``DEFAULT_TOLERANCE``,
+the one tolerance of every check. Reports also carry the errata these
+checks expose in the published derivations, and serialize
+deterministically so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from .partition import neighbor_sum_partition
 DEFAULT_TOLERANCE = 1e-9
 
 # A relative error above this marks a closed form as wrong (errata_report).
-# Every tolerance must stay below it, so no setting can pass such a formula.
+# DEFAULT_TOLERANCE is far below it, so no check can pass such a formula.
 MISMATCH_ERROR = 0.1
+
+# The size of the graphs whose numbers back the errata (errata_report).
+_PROBE_N = 3
 
 # Avoids division by zero in relative errors; index values in scope are
 # all >= 1, so this floor never activates in practice.
@@ -102,12 +106,6 @@ def relative_error(closed: float, oracle: float) -> float:
     return abs(closed - oracle) / max(abs(oracle), _REL_ERROR_FLOOR)
 
 
-def check_tolerance(tolerance: float) -> None:
-    """Reject a tolerance outside ``0 < tolerance < MISMATCH_ERROR``, nan included."""
-    if not 0 < tolerance < MISMATCH_ERROR:
-        raise ValueError(f"tolerance must satisfy 0 < tol < {MISMATCH_ERROR}, got {tolerance}")
-
-
 def brute_force_value(family: str, kind: IndexKind, n: int) -> float:
     """Oracle value: direct edge summation over the generated graph."""
     return compute_index(get_family(family).build(n), kind)
@@ -118,11 +116,10 @@ def verify_entry(
     kind: IndexKind,
     n: int,
     graph: Graph,
-    tolerance: float,
     variant: Variant,
 ) -> VerificationEntry:
     """Check one closed form against brute force on ``graph``, the family's
-    graph of size ``n``; the caller has checked ``tolerance``."""
+    graph of size ``n``."""
     oracle = compute_index(graph, kind)
     closed: ClosedFormResult = closed_form(family, kind, n, variant)
     err = relative_error(closed.value, oracle)
@@ -134,7 +131,7 @@ def verify_entry(
         closed_value=closed.value,
         variant=variant,
         rel_error=err,
-        passed=err <= tolerance,
+        passed=err <= DEFAULT_TOLERANCE,
     )
 
 
@@ -152,7 +149,6 @@ def verify_family(
     family: str,
     kinds: tuple[IndexKind, ...] | None = None,
     n_range: tuple[int, int] | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
     variant: Variant = Variant.PROOF_DERIVED,
 ) -> VerificationReport:
     """Verify every (kind, n) closed form for one family against brute force.
@@ -169,7 +165,6 @@ def verify_family(
     order of ``kinds``. The report carries the errata.
     """
     record = get_family(family)
-    check_tolerance(tolerance)
     if kinds is None:
         kinds = tuple(IndexKind)
     elif not set(kinds) <= set(IndexKind):
@@ -199,7 +194,7 @@ def verify_family(
         graph = record.build(n)
         for kind, start in starts.items():
             if start <= n:
-                entries[kind].append(verify_entry(family, kind, n, graph, tolerance, variant))
+                entries[kind].append(verify_entry(family, kind, n, graph, variant))
         del graph
 
     return _report(tuple(chain.from_iterable(entries.values())), tuple(errata_report()))
@@ -216,43 +211,34 @@ def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
     return _report(tuple(e for report in reports for e in report.entries), errata)
 
 
-def verify_all(
-    tolerance: float = DEFAULT_TOLERANCE,
-    variant: Variant = Variant.PROOF_DERIVED,
-) -> VerificationReport:
+def verify_all(variant: Variant = Variant.PROOF_DERIVED) -> VerificationReport:
     """Verify both families over their default ranges in one report."""
-    return combine_reports(
-        [verify_family(family, tolerance=tolerance, variant=variant) for family in FAMILIES]
-    )
+    return combine_reports([verify_family(family, variant=variant) for family in FAMILIES])
 
 
-def errata_report(n_probe: int = 3) -> list[Erratum]:
+def errata_report() -> list[Erratum]:
     """Errata the verification machinery exposes in the published derivations.
 
-    Checks both double-wheel abc4 variants with :func:`verify_entry` on one
-    ``double_wheel(n_probe)`` and emits the abc4 erratum when the stated
-    form equals the degree-based abc closed form bit for bit, the
-    proof-derived form passes at ``DEFAULT_TOLERANCE``, and the stated one
-    is off by more than ``MISMATCH_ERROR``. The Hanoi erratum follows when
-    the reconstructed count of the neighbor-sum partition's missing (9, 9)
-    class, ``(3**(k+1) - 33) // 2``, equals the count enumerated on
-    ``hanoi(k)`` at ``k = n_probe`` and at a second size, ``n_probe + 1``
-    (``n_probe - 1`` at the Hanoi generator cap, which ``n_probe`` must
-    not exceed); its evidence is that of ``n_probe``. Last comes a static
-    documentation erratum: the double-wheel abc4 derivation cites a
-    partition table by a number that does not exist.
+    The probe size is ``_PROBE_N``, 3. Checks both double-wheel abc4
+    variants with :func:`verify_entry` on ``double_wheel(3)`` and emits the
+    abc4 erratum when the stated form equals the degree-based abc closed
+    form bit for bit, the proof-derived form passes at
+    ``DEFAULT_TOLERANCE``, and the stated one is off by more than
+    ``MISMATCH_ERROR``. The Hanoi erratum follows when the reconstructed
+    count of the neighbor-sum partition's missing (9, 9) class,
+    ``(3**(k+1) - 33) // 2``, equals the count enumerated on ``hanoi(k)``
+    at ``k = 3`` and at ``k = 4``; its evidence is that of ``k = 3``. Last
+    comes a static documentation erratum: the double-wheel abc4 derivation
+    cites a partition table by a number that does not exist.
     """
-    floor, cap = FAMILIES[DW].min_n(IndexKind.ABC4), FAMILIES[HANOI].max_n
-    if not floor <= n_probe <= cap:
-        raise ValueError(f"n_probe must satisfy {floor} <= n_probe <= {cap}, got {n_probe}")
     errata: list[Erratum] = []
 
-    graph = FAMILIES[DW].build(n_probe)
+    graph = FAMILIES[DW].build(_PROBE_N)
     stated, derived = (
-        verify_entry(DW, IndexKind.ABC4, n_probe, graph, DEFAULT_TOLERANCE, variant)
+        verify_entry(DW, IndexKind.ABC4, _PROBE_N, graph, variant)
         for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
     )
-    duplicate = stated.closed_value == closed_form(DW, IndexKind.ABC, n_probe).value
+    duplicate = stated.closed_value == closed_form(DW, IndexKind.ABC, _PROBE_N).value
     if duplicate and derived.passed and stated.rel_error > MISMATCH_ERROR:
         errata.append(
             Erratum(
@@ -263,7 +249,7 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
                     "at the end of its own derivation does"
                 ),
                 evidence={
-                    "n": n_probe,
+                    "n": _PROBE_N,
                     "as_stated": stated.closed_value,
                     "proof_derived": derived.closed_value,
                     "oracle": derived.oracle_value,
@@ -271,9 +257,8 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
             )
         )
 
-    # The count is affine in 3**n, so agreement at two sizes pins it; the
-    # second size is the next one, or the one before at the generator cap.
-    sizes = (n_probe, n_probe + 1 if n_probe < cap else n_probe - 1)
+    # The count is affine in 3**n, so agreement at two sizes pins it.
+    sizes = (_PROBE_N, _PROBE_N + 1)
     reconstructed = {k: (3 ** (k + 1) - 33) // 2 for k in sizes}
     enumerated = {
         k: neighbor_sum_partition(FAMILIES[HANOI].build(k)).classes.get((9, 9), 0) for k in sizes
@@ -288,9 +273,9 @@ def errata_report(n_probe: int = 3) -> list[Erratum]:
                     "partition and matches direct enumeration"
                 ),
                 evidence={
-                    "n": n_probe,
-                    "reconstructed_count": reconstructed[n_probe],
-                    "enumerated_count": enumerated[n_probe],
+                    "n": _PROBE_N,
+                    "reconstructed_count": reconstructed[_PROBE_N],
+                    "enumerated_count": enumerated[_PROBE_N],
                 },
             )
         )

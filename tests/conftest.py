@@ -28,6 +28,11 @@ def random_connected_graph(rng: random.Random, max_vertices: int = 50) -> Graph:
     return Graph(n, edges)
 
 
+def neighbors(g: Graph, v: int) -> frozenset[int]:
+    """The vertices adjacent to ``v``, read from its row of ``g``."""
+    return frozenset(g._row(v))
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

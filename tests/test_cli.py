@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import topoindices
 from conftest import sha256
 from topoindices import (
     DW_MAX_N,
@@ -114,7 +116,7 @@ class TestCompute:
             (["--index", "bogus"], "unknown index"),
             (["--variant", "bogus"], "unknown variant"),
             (["--method", "closed"], "closed forms exist only"),
-            (["--method", "both", "--tol", "nan"], "closed forms exist only"),
+            (["--method", "both"], "closed forms exist only"),
         ],
     )
     @pytest.mark.parametrize("text", ["0 1\n1 x\n", None], ids=["faulty-file", "missing-file"])
@@ -194,15 +196,6 @@ class TestCompute:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "overflows a float" in err
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
-    def test_bad_tolerance_exits_2(self, capsys, tol):
-        code, out, err = run(
-            capsys, "compute", "--family", "dw", "--n", "3", "--method", "both", "--tol", tol
-        )
-        assert code == 2
-        assert out == ""
-        assert "0 < tol < 0.1" in err
 
     @pytest.mark.parametrize(
         "command",
@@ -396,17 +389,6 @@ class TestVerify:
         assert code == 2
         assert "empty range" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
-    def test_bad_tolerance_exits_2(self, capsys, tol):
-        # at 0.9 the as-stated abc4 formula, which the errata call wrong, would pass
-        code, out, err = run(
-            capsys, "verify", "--family", "dw", "--index", "abc4", "--variant", "as-stated",
-            "--n-min", "3", "--n-max", "3", "--tol", tol,
-        )
-        assert code == 2
-        assert out == ""
-        assert "0 < tol < 0.1" in err
-
     def test_undefined_closed_form_exits_2(self, capsys, monkeypatch):
         # rebound where FAMILIES looks it up, as the mutation tests do: a form
         # that divides by zero at the range's first n, wrapped like the real one
@@ -449,24 +431,17 @@ class TestVerify:
 
 
 class TestErrata:
-    def test_probe_above_hanoi_cap_exits_2(self, capsys):
-        code, out, err = run(capsys, "errata", "--n", str(FAMILIES["hanoi"].max_n + 1))
-        assert code == 2
-        assert out == ""
-        assert "n_probe" in err
-        assert "Traceback" not in err
-
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "errata")
         assert code == 0
         assert out.count("location:") == 3
 
     def test_json_output(self, capsys):
-        code, out, _ = run(capsys, "errata", "--n", "4", "--format", "json")
+        code, out, _ = run(capsys, "errata", "--format", "json")
         assert code == 0
         entries = json.loads(out)
         assert len(entries) == 3
-        assert entries[0]["evidence"]["n"] == 4
+        assert entries[0]["evidence"]["n"] == 3
 
 
 class TestDefaultPathBytes:
@@ -639,8 +614,8 @@ OUTPUT_PINS = [
         "55ef6de811ccb149c28d3f94642b80bbba18f78601f11bfa731bdf313d682bca",
     ),
     (
-        "errata --n 4",
-        "5e4777d110fd22db15d3be531ad6d807c26bdc19eccaf60c6812d259d87664b6",
+        "errata --format text",
+        "09eb976d70ebcb2c653595fced9fd6416b6d34145b4d1eb9087845690d19d143",
     ),
     (
         "verify --family hanoi --n-min 3 --n-max 4",
@@ -814,7 +789,6 @@ PARSER_CONTRACT = {
         (("--method",), "method", "brute", ("brute", "closed", "both"), False, None, None),
         (("--variant",), "variant", "proof-derived", None, False, None,
          "closed-form variant (abc4 only)"),
-        (("--tol",), "tol", 1e-09, None, False, "float", "pass tolerance for --method both"),
         (("--format",), "format", "text", ("text", "csv", "json"), False, None, None),
         (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
     ]),
@@ -835,13 +809,11 @@ PARSER_CONTRACT = {
         (("--n-max",), "n_max", None, None, False, "int", "range end (inclusive)"),
         (("--variant",), "variant", "proof-derived", None, False, None,
          "closed-form variant (abc4 only)"),
-        (("--tol",), "tol", 1e-09, None, False, "float", None),
         (("--format",), "format", "json", ("json", "csv"), False, None, None),
         (("--out",), "out", None, None, False, None, "report path (default: stdout)"),
     ]),
     "errata": ("report the discrepancies the checks expose", "cmd_errata", [
         HELP,
-        (("--n",), "n", 3, None, False, "int", "probe size for the numeric evidence"),
         (("--format",), "format", "text", ("text", "json"), False, None, None),
         (("--out",), "out", None, None, False, None, "output path (default: stdout)"),
     ]),
@@ -865,6 +837,23 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--family", "dw", "--n", "3", "--wat"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--tol", "1e-9"], "--tol 1e-9"),
+            (["compute", "--family", "dw", "--n", "3", "--method", "both", "--tol", "1e-9"],
+             "--tol 1e-9"),
+            (["errata", "--n", "3"], "--n 3"),
+        ],
+        ids=["verify-tol", "compute-tol", "errata-n"],
+    )
+    def test_removed_flags_exit_2(self, capsys, argv, flag):
+        # every check runs at DEFAULT_TOLERANCE and the errata at one probe size
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
 
     def test_every_subcommand_as_declared(self):
         subparsers = _subparsers()
@@ -901,6 +890,43 @@ class TestArgparseContract:
             "partition": tuple(FAMILIES),
             "verify": (*FAMILIES, "all"),
         }
+
+
+# The public functions of verify.py and closed_forms.py and their parameters,
+# each "name=default" where it has a default: a new keyword is a change here.
+SIGNATURES = {
+    "verify": {
+        "relative_error": ["closed", "oracle"],
+        "brute_force_value": ["family", "kind", "n"],
+        "verify_entry": ["family", "kind", "n", "graph", "variant"],
+        "verify_family": ["family", "kinds=None", "n_range=None", "variant=Variant.PROOF_DERIVED"],
+        "combine_reports": ["reports"],
+        "verify_all": ["variant=Variant.PROOF_DERIVED"],
+        "errata_report": [],
+    },
+    "closed_forms": {
+        "dw_closed_form": ["kind", "n", "variant=Variant.PROOF_DERIVED"],
+        "hanoi_closed_form": ["kind", "n", "variant=Variant.PROOF_DERIVED"],
+        "get_family": ["name"],
+        "closed_form": ["family", "kind", "n", "variant=Variant.PROOF_DERIVED"],
+    },
+}
+
+
+@pytest.mark.parametrize("module_name", list(SIGNATURES))
+def test_public_signatures_as_declared(module_name):
+    module = getattr(topoindices, module_name)
+    declared = {
+        name: [
+            param.name if param.default is param.empty else f"{param.name}={param.default}"
+            for param in inspect.signature(value).parameters.values()
+        ]
+        for name, value in vars(module).items()
+        if inspect.isfunction(value)
+        and value.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert declared == SIGNATURES[module_name]
 
 
 def _partition_mode(name):

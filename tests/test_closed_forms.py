@@ -160,6 +160,20 @@ class TestInputChecks:
                 dw_closed_form(kind, n)
         assert math.isfinite(dw_closed_form(IndexKind.GA5, 10**150).value)
 
+    def test_rejects_a_kind_name(self):
+        # each formula's last branch would take it: dw gave GA5's value
+        with pytest.raises(TypeError, match="kind must be an IndexKind member, got 'abc'"):
+            closed_form("dw", "abc", 3)
+
+    def test_rejects_a_variant_name(self):
+        # the dw abc4 form would give the proof-derived value for it
+        with pytest.raises(TypeError, match="variant must be a Variant member, got 'as_stated'"):
+            closed_form("dw", IndexKind.ABC4, 5, "as_stated")
+
+    def test_hanoi_rejects_a_kind_name(self):
+        with pytest.raises(TypeError, match="kind must be an IndexKind member, got 'abc'"):
+            hanoi_closed_form("abc", 3)
+
     def test_floor_message_names_family_kind_and_n(self):
         with pytest.raises(ValueError, match="dw randic closed form needs n >= 3, got 2"):
             dw_closed_form(IndexKind.RANDIC, 2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_edge_classes, shuffled_edge_list
+from conftest import neighbors, reference_edge_classes, shuffled_edge_list
 from topoindices import Graph, double_wheel, from_edge_list, graph, hanoi, to_edge_list
 from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _degree_column
 
@@ -111,7 +111,7 @@ class TestConstruction:
     def test_adjacency_is_built_from_the_rows(self):
         # rows taken over as written, the first one unsorted
         g = Graph._from_csr(array(TYPECODE, [0, 2, 3, 4]), array(TYPECODE, [2, 1, 0, 0]))
-        assert g.neighbors(0) == frozenset({1, 2})
+        assert neighbors(g, 0) == frozenset({1, 2})
         assert g.edges() == [(0, 1), (0, 2)]
 
     def test_equality_ignores_edge_order(self):

@@ -53,6 +53,11 @@ class TestEdgeTerm:
         for a, b in [(2, 3), (3, 10), (6, 8), (9, 9), (1, 500)]:
             assert edge_term(kind, a, b) == edge_term(kind, b, a)
 
+    def test_rejects_a_kind_name(self):
+        # the last branch would take it and give the GA term
+        with pytest.raises(TypeError, match="kind must be an IndexKind member, got 'randic'"):
+            edge_term("randic", 2, 3)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rejects_nonpositive_labels(self, kind):
         with pytest.raises(ValueError):
