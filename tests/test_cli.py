@@ -197,6 +197,16 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:") and "overflows a float" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        # no --tol flag: every check runs at DEFAULT_TOLERANCE
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--family", "dw", "--n", "3", "--method", "both", "--tol", tol])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: --tol {tol}\n")
+
     @pytest.mark.parametrize(
         "command",
         [
@@ -389,6 +399,20 @@ class TestVerify:
         assert code == 2
         assert "empty range" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "0.1", "0.9"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        # at 0.9 the as-stated abc4 formula, which the errata call wrong, would
+        # pass; no --tol flag is left to set it
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "verify", "--family", "dw", "--index", "abc4", "--variant", "as-stated",
+                "--n-min", "3", "--n-max", "3", "--tol", tol,
+            ])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: --tol {tol}\n")
+
     def test_undefined_closed_form_exits_2(self, capsys, monkeypatch):
         # rebound where FAMILIES looks it up, as the mutation tests do: a form
         # that divides by zero at the range's first n, wrapped like the real one
@@ -431,6 +455,16 @@ class TestVerify:
 
 
 class TestErrata:
+    def test_probe_above_hanoi_cap_exits_2(self, capsys):
+        # the probe size is fixed, so no --n flag can ask past the Hanoi cap
+        with pytest.raises(SystemExit) as exc:
+            main(["errata", "--n", str(FAMILIES["hanoi"].max_n + 1)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: --n {FAMILIES['hanoi'].max_n + 1}\n")
+        assert "Traceback" not in err
+
     def test_text_output(self, capsys):
         code, out, _ = run(capsys, "errata")
         assert code == 0
@@ -837,23 +871,6 @@ class TestArgparseContract:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--family", "dw", "--n", "3", "--wat"])
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["verify", "--tol", "1e-9"], "--tol 1e-9"),
-            (["compute", "--family", "dw", "--n", "3", "--method", "both", "--tol", "1e-9"],
-             "--tol 1e-9"),
-            (["errata", "--n", "3"], "--n 3"),
-        ],
-        ids=["verify-tol", "compute-tol", "errata-n"],
-    )
-    def test_removed_flags_exit_2(self, capsys, argv, flag):
-        # every check runs at DEFAULT_TOLERANCE and the errata at one probe size
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
 
     def test_every_subcommand_as_declared(self):
         subparsers = _subparsers()

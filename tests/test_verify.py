@@ -122,6 +122,17 @@ class TestVerifyFamily:
         assert report.summary.total == 2 * 38
         assert held == []
 
+    def test_bad_tolerance_rejected(self):
+        # 0.9 would pass the as-stated abc4, whose error is at least 0.718;
+        # no tolerance can be passed, so it fails at DEFAULT_TOLERANCE
+        for tolerance in (0.0, 0.1, 0.9):
+            with pytest.raises(TypeError, match="tolerance"):
+                verify_family("dw", n_range=(3, 4), tolerance=tolerance)
+        stated = verify_family(
+            "dw", kinds=(IndexKind.ABC4,), n_range=(3, 3), variant=Variant.AS_STATED
+        )
+        assert stated.summary.failed == 1
+
     def test_unknown_family_rejected(self):
         known = re.escape(f"(known: {', '.join(FAMILIES)})")
         with pytest.raises(ValueError, match=known):
@@ -218,22 +229,29 @@ class TestErrata:
         assert erratum.evidence["reconstructed_count"] == (3**4 - 33) // 2 == 24
         assert erratum.evidence["enumerated_count"] == 24
 
-    def test_abc4_evidence_is_the_reports_check(self):
+    @pytest.mark.parametrize("n_probe", [3, 10])
+    def test_abc4_evidence_is_the_reports_check(self, monkeypatch, n_probe):
         # The erratum and the verify report share one check, so its evidence
         # is bit for bit what verify_family reports for each variant.
+        monkeypatch.setattr(verify, "_PROBE_N", n_probe)
         ev = errata_report()[0].evidence
+        assert ev["n"] == n_probe
         (stated,), (derived,) = (
-            verify_family("dw", kinds=(IndexKind.ABC4,), n_range=(3, 3), variant=variant).entries
+            verify_family(
+                "dw", kinds=(IndexKind.ABC4,), n_range=(n_probe, n_probe), variant=variant
+            ).entries
             for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
         )
         assert ev["as_stated"].hex() == stated.closed_value.hex()
         assert ev["proof_derived"].hex() == derived.closed_value.hex()
         assert ev["oracle"].hex() == derived.oracle_value.hex() == stated.oracle_value.hex()
 
-    @pytest.mark.parametrize("wrong", [3, 4])
-    def test_hanoi_erratum_needs_the_count_at_two_sizes(self, monkeypatch, wrong):
+    @pytest.mark.parametrize("n_probe", [3, 5])
+    @pytest.mark.parametrize("wrong_size", [0, 1])
+    def test_hanoi_erratum_needs_the_count_at_two_sizes(self, monkeypatch, n_probe, wrong_size):
         # the reconstructed count is affine in 3**n, so it is checked at
-        # n = 3 and n = 4; a count off at either drops the erratum
+        # n_probe and n_probe + 1; a count off at either drops the erratum
+        wrong = (n_probe, n_probe + 1)[wrong_size]
         partition = verify.neighbor_sum_partition
 
         def miscounted(g):
@@ -243,6 +261,7 @@ class TestErrata:
             return p
 
         locations = [e.location for e in errata_report()]
+        monkeypatch.setattr(verify, "_PROBE_N", n_probe)
         monkeypatch.setattr(verify, "neighbor_sum_partition", miscounted)
         errata = errata_report()
         assert "hanoi neighbor-sum edge partition table" in locations
@@ -250,17 +269,18 @@ class TestErrata:
             loc for loc in locations if not loc.startswith("hanoi")
         ]
 
-    def test_hanoi_erratum_evidence_is_from_the_first_size(self, monkeypatch):
+    def test_hanoi_erratum_evidence_is_from_n_probe(self, monkeypatch):
         seen: list[int] = []
 
         def recorded(g):
             seen.append(g.vertex_count)
             return EdgePartition("neighbor_sum", {(9, 9): (3 * g.vertex_count - 33) // 2})
 
+        monkeypatch.setattr(verify, "_PROBE_N", 5)
         monkeypatch.setattr(verify, "neighbor_sum_partition", recorded)
         erratum = next(e for e in errata_report() if "hanoi" in e.location)
-        assert seen == [3**3, 3**4]
-        assert erratum.evidence == {"n": 3, "reconstructed_count": 24, "enumerated_count": 24}
+        assert seen == [3**5, 3**6]
+        assert erratum.evidence == {"n": 5, "reconstructed_count": 348, "enumerated_count": 348}
 
     def test_abc4_erratum_needs_the_stated_form_to_duplicate_abc(self, monkeypatch):
         # every number of the as-stated line, raised by 1, drops the erratum:
