@@ -9,7 +9,8 @@ its own derivation arrives at. Brute force confirms the derived variant,
 so that is the default; the stated variant is kept for the errata report.
 
 :data:`FAMILIES` is the registry: one :class:`Family` record per family,
-the only place its name, floors, size cap and default range are written.
+under its name. The key is the only place that name is written, and the
+record the only place its floors, size cap and default range are.
 The CLI, :func:`closed_form` and :mod:`topoindices.verify` read it, and
 :func:`get_family` is the one lookup that rejects an unknown name.
 """
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .generators import DW_MAX_N, HANOI_MAX_N, _require_int, double_wheel, hanoi
 from .graph import Graph
-from .indices import IndexKind
+from .indices import IndexKind, _require_kind
 from .partition import NEIGHBOR_SUM, _lookup
 
 DW = "dw"
@@ -70,8 +71,7 @@ def _checked(family: str):
         @functools.wraps(formula)
         def checked(kind: IndexKind, n: int, variant: Variant = Variant.PROOF_DERIVED):
             # each formula's last branch takes any kind or variant it did not name
-            if not isinstance(kind, IndexKind):
-                raise TypeError(f"kind must be an IndexKind member, got {kind!r}")
+            _require_kind(kind)
             if not isinstance(variant, Variant):
                 raise TypeError(f"variant must be a Variant member, got {variant!r}")
             _require_int(n)
@@ -159,7 +159,8 @@ def hanoi_closed_form(
 
 
 class Family(NamedTuple):
-    """One graph family: its name, generator, closed forms and size limits.
+    """One graph family: its generator, closed forms and size limits. Its
+    name is its key in :data:`FAMILIES`.
 
     ``min_n(kind)`` is the smallest ``n`` at which the closed form for
     ``kind`` holds. ``max_n`` is the generator's size cap; closed forms are
@@ -167,7 +168,6 @@ class Family(NamedTuple):
     ``(min_n(kind), default_max_n)``.
     """
 
-    name: str
     min_n: Callable[[IndexKind], int]
     max_n: int
     default_max_n: int
@@ -181,7 +181,6 @@ class Family(NamedTuple):
 # module globals to time each call) must see the calls made through here.
 FAMILIES: dict[str, Family] = {
     DW: Family(
-        name=DW,
         min_n=lambda kind: 3,
         max_n=DW_MAX_N,
         default_max_n=64,
@@ -189,7 +188,6 @@ FAMILIES: dict[str, Family] = {
         closed_form=lambda kind, n, variant: dw_closed_form(kind, n, variant),
     ),
     HANOI: Family(
-        name=HANOI,
         # The degree partition stabilizes at n = 2, the neighbor-sum partition
         # at n = 3 (at n = 2 the corner triangles touch and the edge classes
         # differ), so the neighbor-sum kinds need n >= 3.

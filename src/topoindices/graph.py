@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, chain, islice, pairwise, repeat
@@ -282,17 +281,14 @@ def _as_run(row: Sequence[int], own: int) -> range | None:
     return range(lo, hi) if hi - lo == len(row) + (lo < own < hi) else None
 
 
-def _without(runs: Iterable[tuple[int, int]], points: Sequence[int]) -> list[tuple[int, int]]:
-    """``runs`` with the sorted ``points`` taken out."""
+def _without(runs: Iterable[tuple[int, int]], point: int) -> list[tuple[int, int]]:
+    """``runs`` with the id ``point`` taken out; ``-1``, in no run, takes out
+    none. The run that holds ``point`` splits in two, and an empty side is
+    dropped."""
     out = []
     for start, end in runs:
-        for p in points[bisect_left(points, start) : bisect_left(points, end)]:
-            if start < p:
-                out.append((start, p))
-            start = p + 1
-        if start < end:
-            out.append((start, end))
-    return out
+        out += ((start, point), (point + 1, end)) if start <= point < end else ((start, end),)
+    return [run for run in out if run[0] < run[1]]
 
 
 def _slots(offsets: array, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -458,7 +454,7 @@ class Graph:
         if hub >= 0 and degrees[hub] > d0:
             with memoryview(targets) as view:
                 span = _as_run(view[offsets[hub] : offsets[hub + 1]], hub)
-        spanned = [hub] if span else []
+        spanned = hub if span else -1
 
         # P, the vertices whose neighbor sums are pulled from their rows: the
         # vertices of another degree, but for a hub whose row is a span, and

@@ -47,6 +47,12 @@ class IndexKind(enum.Enum):
         return _lookup("index", name, {kind.value: kind for kind in cls})
 
 
+def _require_kind(kind: IndexKind) -> None:
+    """``TypeError`` unless ``kind`` is an :class:`IndexKind` member."""
+    if not isinstance(kind, IndexKind):
+        raise TypeError(f"kind must be an IndexKind member, got {kind!r}")
+
+
 def edge_term(kind: IndexKind, a: int, b: int) -> float:
     """Weight contributed by one edge whose endpoint labels are ``a`` and ``b``.
 
@@ -55,8 +61,7 @@ def edge_term(kind: IndexKind, a: int, b: int) -> float:
     positive; on a valid connected graph both degrees and neighbor-degree
     sums always are, so the guard only protects generic callers.
     """
-    if not isinstance(kind, IndexKind):
-        raise TypeError(f"kind must be an IndexKind member, got {kind!r}")
+    _require_kind(kind)
     if a < 1 or b < 1:
         raise ValueError(f"edge labels must be positive, got ({a}, {b})")
     if kind is IndexKind.RANDIC:
@@ -91,6 +96,7 @@ def compute_index(g: Graph, kind: IndexKind) -> float:
     term exactly; the value is bit-identical to summing edge by edge, in
     any order, with ``math.fsum``.
     """
+    _require_kind(kind)
     return _class_sum(kind, g.edge_classes()[kind.labeling])
 
 
@@ -100,6 +106,7 @@ def compute_from_partition(p: EdgePartition, kind: IndexKind) -> float:
     Summed by the same exact rule as :func:`compute_index`, so the
     partition of a graph under the index's labeling gives the same bits.
     """
+    _require_kind(kind)
     if p.mode != kind.labeling:
         raise ValueError(
             f"{kind.value} needs a {kind.labeling} partition, got {p.mode}"

@@ -201,13 +201,11 @@ def verify_family(
 
 
 def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
-    """Concatenate entries from several reports under one summary. The
-    combined report carries the errata once: those of its inputs when they
-    all agree, recomputed for an empty list or inputs that disagree."""
-    if reports and all(report.errata == reports[0].errata for report in reports):
-        errata = reports[0].errata
-    else:
-        errata = tuple(errata_report())
+    """Concatenate entries from several reports under one summary. Every
+    report this package makes carries the same errata, so the combined
+    report carries those of its first input, or :func:`errata_report`'s for
+    an empty list; the errata of later inputs are not compared."""
+    errata = reports[0].errata if reports else tuple(errata_report())
     return _report(tuple(e for report in reports for e in report.entries), errata)
 
 

@@ -255,6 +255,25 @@ class TestWalk:
         assert graph._walk(*graph._csr(vertex_count, ends)) == (reached, repeats)
 
 
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        # before the first run, at its first id, inside it, at its last id,
+        # after it, and the whole of a one-id run
+        (2, [(3, 7), (9, 10)]),
+        (3, [(4, 7), (9, 10)]),
+        (5, [(3, 5), (6, 7), (9, 10)]),
+        (6, [(3, 6), (9, 10)]),
+        (7, [(3, 7), (9, 10)]),
+        (9, [(3, 7)]),
+        # -1, in no run, takes out none
+        (-1, [(3, 7), (9, 10)]),
+    ],
+)
+def test_without_takes_out_one_point(point, expected):
+    assert graph._without([(3, 7), (9, 10)], point) == expected
+
+
 class TestEdgeClasses:
     """The classifier walks only the rows near a vertex of another degree
     than the most common one; each case is held to the reference that

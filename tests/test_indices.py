@@ -53,10 +53,21 @@ class TestEdgeTerm:
         for a, b in [(2, 3), (3, 10), (6, 8), (9, 9), (1, 500)]:
             assert edge_term(kind, a, b) == edge_term(kind, b, a)
 
-    def test_rejects_a_kind_name(self):
-        # the last branch would take it and give the GA term
-        with pytest.raises(TypeError, match="kind must be an IndexKind member, got 'randic'"):
-            edge_term("randic", 2, 3)
+    @pytest.mark.parametrize("kind", ["randic", "abc", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda kind: edge_term(kind, 2, 3),
+            lambda kind: compute_index(double_wheel(3), kind),
+            lambda kind: compute_from_partition(degree_partition(double_wheel(3)), kind),
+        ],
+        ids=["edge_term", "compute_index", "compute_from_partition"],
+    )
+    def test_rejects_a_kind_name(self, call, kind):
+        # edge_term's last branch would take it and give the GA term; the
+        # sums would read its labeling and raise AttributeError
+        with pytest.raises(TypeError, match=f"kind must be an IndexKind member, got {kind!r}"):
+            call(kind)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rejects_nonpositive_labels(self, kind):

@@ -40,7 +40,7 @@ RECORDS = {
     ),
     Family: (
         lambda: FAMILIES["dw"],
-        ("name", "min_n", "max_n", "default_max_n", "build", "closed_form"),
+        ("min_n", "max_n", "default_max_n", "build", "closed_form"),
     ),
     EdgePartition: (lambda: degree_partition(hanoi(3)), ("mode", "classes")),
     VerificationEntry: (
