@@ -32,12 +32,12 @@ from .graph import _LANE, TYPECODE, Graph
 # os.wait4, on a 64-bit Linux build of CPython 3.11, three runs each).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 39 MB resident, and `compute --index all` on it at 43 MB; each further
+# 39 MB resident, and `compute --index all` on it at 41 MB; each further
 # disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 67 MB resident; `generate`, which writes the edge-list text in pieces, at
+# 55 MB resident; `generate`, which writes the edge-list text in pieces, at
 # 61 MB; `compute --edges` on the 48.7 MB file `generate` writes, at 161 MB,
 # with a duplicate edge appended or not.
 DW_MAX_N = 10**6

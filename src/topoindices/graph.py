@@ -35,7 +35,9 @@ the one derived value that is cached, on first use.
 
 The tables are counted by exception, as :meth:`Graph.edge_classes`
 describes: only the rows of the vertices off the most common label are
-walked.
+walked. No degree is stored there either: each is read as
+``offsets[v + 1] - offsets[v]``, and the count adds one column to the
+graph, a byte per vertex while there are at most 256 labels.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -48,8 +50,8 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, islice, pairwise, repeat
-from operator import add
+from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap, tee
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 # The two vertex labelings, and the keys of `Graph.edge_classes`
@@ -164,21 +166,22 @@ _BLOCK = 1 << 8
 
 # Bytes in one CSR item, the 4-byte lane of the lane arithmetic below.
 _LANE = array(TYPECODE).itemsize
-# One in every lane of a block, and every bit above each lane's low byte,
-# as integers in the native byte order of the columns.
+# One in every lane of a block, as an integer in the native byte order of
+# the columns.
 _ONES = int.from_bytes(array(TYPECODE, [1]) * _BLOCK, sys.byteorder)
-_HIGH_BITS = _ONES * ((1 << 8 * _LANE) - (1 << 8))
-# The position of each lane's low byte.
-_LOW_BYTE = 0 if sys.byteorder == "little" else _LANE - 1
 
-# A per-vertex column of small ints: a bytearray while every item is below
-# 256; else the degrees are an array of TYPECODE ints and the label ids a
-# list.
-_Column = bytearray | array | list[int]
+# A per-vertex column of label ids: a bytearray while every id is below 256,
+# else a list.
+_Column = bytearray | list[int]
+
+# Runs of vertex ids or of target slots, each ``[start, end)``, in order.
+_Runs = list[tuple[int, int]]
 
 
-def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
-    """Every vertex's degree, and the number of vertices of each degree.
+def _odd_degrees(offsets: array, after: memoryview) -> tuple[Counter[int], int, _Runs]:
+    """The number of vertices of each degree, ``d0``, the most common one,
+    the first met of a tie, and the runs of the vertices of another degree.
+    ``after`` is the view of ``offsets`` one item on.
 
     A block of degrees comes out of one big-int subtraction: the block's
     slice of ``offsets`` shifted by one item, read as a single integer in
@@ -187,48 +190,39 @@ def _degree_column(offsets: array) -> tuple[_Column, Counter[int]]:
     difference is one degree, at most the largest offset, which its
     signed 4-byte item keeps below ``2**31``. A block whose lanes all equal
     its first degree is counted with one comparison against that degree
-    times ``_ONES`` and written as that degree repeated; only the other
-    blocks are converted back to bytes and fed to the ``Counter``. A short
-    last block fails that comparison unless its degrees are all 0, and is
-    converted.
-
-    The column is a ``bytearray`` while every degree is below 256. At the
-    first block that holds a larger one, it widens in place: the degrees
-    written so far become the low bytes of a zeroed ``array`` of
-    ``TYPECODE`` ints, in one strided copy, and the pass goes on into it,
-    so that each block is read once.
+    times ``_ONES``; a short last block fails it unless its degrees are all
+    0. Only the other blocks are converted back to bytes and counted as an
+    ``array``. Once ``d0`` is known, the blocks of another degree or of
+    several are read again, from ``after`` less ``offsets``, for the runs.
     """
     order = sys.byteorder
-    vertex_count = len(offsets) - 1
-    column: _Column = bytearray(vertex_count)
-    narrow = True
+    vertex_count = len(after)
     counts: Counter[int] = Counter()
+    # each block's one degree, or -1 when its degrees differ
+    alike = []
     with memoryview(offsets).cast("B") as raw:
         for start in range(0, vertex_count, _BLOCK):
             end = min(start + _BLOCK, vertex_count)
-            size = end - start
             lo, hi = start * _LANE, end * _LANE
             lanes = int.from_bytes(raw[lo + _LANE : hi + _LANE], order)
             lanes -= int.from_bytes(raw[lo:hi], order)
-            if narrow and lanes & _HIGH_BITS:
-                # each degree so far goes to the low byte of its lane;
-                # `array(TYPECODE, column)` would read the bytes as raw items
-                wide = array(TYPECODE, [0]) * vertex_count
-                memoryview(wide).cast("B")[_LOW_BYTE : lo : _LANE] = memoryview(column)[:start]
-                column = wide
-                narrow = False
-            first = offsets[start + 1] - offsets[start]
+            first = after[start] - offsets[start]
             if lanes == first * _ONES:
-                counts[first] += size
-                column[start:end] = bytes((first,)) * size if narrow else array(TYPECODE, [first]) * size
+                counts[first] += end - start
             else:
-                items = lanes.to_bytes(hi - lo, order)
-                column[start:end] = items[_LOW_BYTE::_LANE] if narrow else array(TYPECODE, items)
-                counts.update(column[start:end])
-    return column, counts
+                counts.update(array(TYPECODE, lanes.to_bytes(hi - lo, order)))
+                first = -1
+            alike.append(first)
+    d0 = max(counts, key=counts.__getitem__, default=0)
+    odd = []
+    for start in compress(range(0, vertex_count, _BLOCK), map(d0.__ne__, alike)):
+        # the last block's slice of `after` ends with the column
+        degrees = map(sub, after[start : start + _BLOCK], offsets[start : start + _BLOCK])
+        odd += _runs(bytes(map(d0.__ne__, degrees)), start)
+    return counts, d0, odd
 
 
-def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
+def _runs(flags: bytes | bytearray, base: int = 0) -> _Runs:
     """The maximal ``[start, end)`` runs of nonzero bytes in ``flags``,
     shifted by ``base``."""
     runs = []
@@ -241,7 +235,7 @@ def _runs(flags: bytes | bytearray, base: int = 0) -> list[tuple[int, int]]:
     return runs
 
 
-def _differing(values: _Column, common: int) -> list[tuple[int, int]]:
+def _differing(values: _Column, common: int) -> _Runs:
     """Runs of the positions where ``values`` holds anything but ``common``.
 
     A block that holds ``common`` throughout costs one C-level ``count``;
@@ -255,16 +249,16 @@ def _differing(values: _Column, common: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _blocks(runs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+def _blocks(runs: _Runs) -> Iterator[tuple[int, int]]:
     """``runs`` cut into ``[start, end)`` pieces of at most ``_BLOCK`` items."""
     for start, end in runs:
         for i in range(start, end, _BLOCK):
             yield i, min(i + _BLOCK, end)
 
 
-def _pieces(column: Sequence[int], runs: Iterable[tuple[int, int]]) -> Iterator[int]:
+def _pieces(column: Sequence[int], runs: _Runs) -> Iterator[int]:
     """The items of ``column`` in ``runs``, in order, copied a block at a time."""
-    return chain.from_iterable(column[start:end] for start, end in _blocks(runs))
+    return chain.from_iterable(map(column.__getitem__, starmap(slice, _blocks(runs))))
 
 
 def _as_run(row: Sequence[int], own: int) -> range | None:
@@ -281,7 +275,7 @@ def _as_run(row: Sequence[int], own: int) -> range | None:
     return range(lo, hi) if hi - lo == len(row) + (lo < own < hi) else None
 
 
-def _without(runs: Iterable[tuple[int, int]], point: int) -> list[tuple[int, int]]:
+def _without(runs: _Runs, point: int) -> _Runs:
     """``runs`` with the id ``point`` taken out; ``-1``, in no run, takes out
     none. The run that holds ``point`` splits in two, and an empty side is
     dropped."""
@@ -291,9 +285,16 @@ def _without(runs: Iterable[tuple[int, int]], point: int) -> list[tuple[int, int
     return [run for run in out if run[0] < run[1]]
 
 
-def _slots(offsets: array, runs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+def _slots(offsets: array, runs: _Runs) -> _Runs:
     """The target-slot runs of the rows of the vertex runs ``runs``."""
     return [(offsets[start], offsets[end]) for start, end in runs]
+
+
+def _degrees(offsets: array, after: memoryview, runs: _Runs) -> Iterator[int]:
+    """The degrees of the vertices in ``runs``, in order: the items of
+    ``after``, the view of ``offsets`` one item on, less those of
+    ``offsets``, copied a block at a time."""
+    return map(sub, _pieces(after, runs), _pieces(offsets, runs))
 
 
 class Graph:
@@ -388,8 +389,8 @@ class Graph:
           degree is above ``d0``. When its row lists every id of its span
           ``[lo, hi)`` but, at most, the hub's own (:func:`_as_run`), the hub
           adds its ``deg - d0`` to the sum of every vertex of the span, its
-          own too, and the span is labeled ``(d0, d0 * d0 + deg - d0)`` with
-          one slice assignment. The hub's own label is written over its slot
+          own too, and the span is labeled ``(d0, d0 * d0 + deg - d0)``, a
+          block at a time. The hub's own label is written over its slot
           after: its sum is ``offsets[hi] - offsets[lo]``, the slots of its
           span's rows, less ``deg`` when the span holds the hub. Only this
           one row is tested: the double wheel has one hub, and ``hanoi(n)``
@@ -403,8 +404,9 @@ class Graph:
         * Pairs: only the rows of S, the vertices whose id is not the most
           common one, are counted, one ``source * width + target`` int per
           target slot, and the hub's span row as one count of its span's
-          ids less its own, the most common id dropped from them at C speed
-          and counted as the rest. A slot from S to a most-common vertex is
+          ids less its own: those off the most common id are the ids of S
+          inside the span, and the most common id is counted as the rest.
+          A slot from S to a most-common vertex is
           counted twice, for its mirror is in that vertex's row, which is
           not walked, and every other slot joins two most-common vertices.
           Each edge is seen once in each orientation, and the tables halve
@@ -416,17 +418,19 @@ class Graph:
         is read. A second hub is pulled with its targets. On an irregular
         graph P and S are most of the vertices, so the count walks about as
         many slots as counting every slot would. Vertex runs are found a
-        block at a time, so a block without exceptions costs one C-level
-        ``count``, and columns are copied a block at a time.
-        The degrees and the ids are the only vertex-length columns, each a
-        ``bytearray`` while its items fit in a byte. The degrees are an
-        ``array`` of ``TYPECODE`` ints, the width of ``offsets``, when a
-        degree is 256 or more (:func:`_degree_column`). The ids start as a
-        ``bytearray``, for at most three labels are known before P, and
-        become a list at the block of P where the 257th label appears. A
-        list, not an ``array``, because it indexes about twice as fast, and
-        an id above 256 is the int ``rank`` holds, shared by every vertex
-        of its label.
+        block at a time, so a block without exceptions costs one comparison
+        or one C-level ``count``, and columns are copied a block at a time.
+
+        No degree is stored. The runs off ``d0`` and the degree counts come
+        from the lane pass of :func:`_odd_degrees`, and each other degree
+        the count needs, of the hub, P, S and P's targets, is
+        ``offsets[v + 1] - offsets[v]``, read through a view of ``offsets``
+        one item on. The P mask and then the ids are the only vertex-length
+        columns, one at a time. The ids start as a ``bytearray``, for at
+        most three labels are known before P, and become a list at the
+        block of P where the 257th label appears. A list, not an ``array``,
+        because it indexes about twice as fast, and an id above 256 is the
+        int ``rank`` holds, shared by every vertex of its label.
 
         No other row is read but the hub's, tested for a span, which the
         invariant of every ``Graph`` makes sound: ids are in range, rows are
@@ -439,97 +443,103 @@ class Graph:
         if self._classes is not None:
             return self._classes
         offsets, targets = self._offsets, self._targets
-        degrees, degree_counts = _degree_column(offsets)
-        vertex_count = len(degrees)
-        d0 = max(degree_counts, key=degree_counts.__getitem__, default=0)
+        vertex_count = len(offsets) - 1
+        # each degree is read from `offsets` and `after`, its view one item on
+        with memoryview(offsets)[1:] as after:
+            _, d0, odd = _odd_degrees(offsets, after)
+            # The hub: the first vertex of the highest degree, which max
+            # keeps of equal keys, when that degree is above d0. If its row
+            # lists every id of its span [lo, hi) but, at most, its own, it
+            # adds deg - d0 to the neighbor sum of every vertex of the span,
+            # its own too, whose label is written over later; if not, the hub
+            # is pulled like the other vertices of another degree
+            odd_vertices = zip(_degrees(offsets, after, odd), _pieces(range(vertex_count), odd))
+            deg, hub = max(odd_vertices, key=itemgetter(0), default=(0, 0))
+            span = None
+            if deg > d0:
+                with memoryview(targets) as view:
+                    span = _as_run(view[offsets[hub] : offsets[hub + 1]], hub)
+            spanned = hub if span else -1
 
-        # The hub: the first vertex of the highest degree, when that degree
-        # is above d0. If its row lists every id of its span [lo, hi) but, at
-        # most, its own, it adds deg - d0 to the neighbor sum of every vertex
-        # of the span, its own too, whose label is written over later; if
-        # not, the hub is pulled like the other vertices of another degree
-        odd = _differing(degrees, d0)
-        hub = max(_pieces(range(vertex_count), odd), key=degrees.__getitem__, default=-1)
-        span = None
-        if hub >= 0 and degrees[hub] > d0:
-            with memoryview(targets) as view:
-                span = _as_run(view[offsets[hub] : offsets[hub + 1]], hub)
-        spanned = hub if span else -1
+            # P, the vertices whose neighbor sums are pulled from their rows:
+            # the vertices of another degree, but for a hub whose row is a
+            # span, and the targets of their rows
+            p_runs = _without(odd, spanned)
+            in_p = bytearray(vertex_count)
+            for start, end in p_runs:
+                in_p[start:end] = b"\x01" * (end - start)
+            for v in _pieces(targets, _slots(offsets, p_runs)):
+                in_p[v] = 1
+            p_runs = _without(_runs(in_p), spanned)
+            del in_p
 
-        # P, the vertices whose neighbor sums are pulled from their rows: the
-        # vertices of another degree, but for a hub whose row is a span, and
-        # the targets of their rows
-        p_runs = _without(odd, spanned)
-        in_p = bytearray(vertex_count)
-        for start, end in p_runs:
-            in_p[start:end] = b"\x01" * (end - start)
-        for v in _pieces(targets, _slots(offsets, p_runs)):
-            in_p[v] = 1
-        p_runs = _without(_runs(in_p), spanned)
-        del in_p
+            # Labels, each ranked to a small id: (d0, d0 * d0 + deg - d0)
+            # over the hub's span, then the hub's own, then P's, streamed.
+            # The hub's sum is the slot count of its span's rows, less its
+            # own degree when the span holds its id. `counts` counts the ids
+            # written; `overwritten`, the ids that P's blocks replace
+            rank = {(d0, d0 * d0): 0}
+            ids: _Column = bytearray(vertex_count)
+            counts = Counter({0: vertex_count})
+            if span:
+                inside = hub in span
+                rank[d0, d0 * d0 + deg - d0] = 1
+                rank[deg, offsets[span.stop] - offsets[span.start] - deg * inside] = 2
+                # a block at a time, for a slice of the whole span would be
+                # copied twice, and take twice the bytes of the ids
+                for start, end in _blocks([(span.start, span.stop)]):
+                    ids[start:end] = b"\x01" * (end - start)
+                ids[hub] = 2
+                counts = Counter({0: vertex_count - len(span) - 1 + inside, 1: len(span) - inside, 2: 1})
+            overwritten: Counter[int] = Counter()
+            # P is empty in the double wheel, and builds no stream
+            if p_runs:
+                # each target twice, for the end and the start of its row
+                ends, starts = tee(_pieces(targets, _slots(offsets, p_runs)))
+                target_degrees = map(sub, map(after.__getitem__, ends), map(offsets.__getitem__, starts))
+                sums = map(sum, map(islice, repeat(target_degrees), _degrees(offsets, after, p_runs)))
+                # map draws each label, then len(rank), before its lookup, so a
+                # new label gets the next id
+                p_labels = zip(_degrees(offsets, after, p_runs), sums)
+                p_ids = map(rank.setdefault, p_labels, map(len, repeat(rank)))
+                for start, end in _blocks(p_runs):
+                    block = list(islice(p_ids, end - start))
+                    if len(rank) > 256 and isinstance(ids, bytearray):
+                        ids = list(ids)
+                    overwritten.update(ids[start:end])
+                    counts.update(block)
+                    ids[start:end] = block
+                counts.subtract(overwritten)
+            # a label is (degree, neighbor_sum), in the order of these tables
+            labels = list(rank)
+            width = len(labels)
 
-        # Labels, each ranked to a small id: (d0, d0 * d0 + deg - d0) over the
-        # hub's span, then the hub's own, then P's, streamed. The hub's sum is
-        # the slot count of its span's rows, less its own degree when the span
-        # holds its id. `counts` counts the ids written; `overwritten`, the
-        # ids that P's blocks replace
-        rank = {(d0, d0 * d0): 0}
-        ids: _Column = bytearray(vertex_count)
-        counts = Counter({0: vertex_count})
-        if span:
-            deg, inside = degrees[hub], hub in span
-            rank[d0, d0 * d0 + deg - d0] = 1
-            rank[deg, offsets[span.stop] - offsets[span.start] - deg * inside] = 2
-            ids[span.start : span.stop] = b"\x01" * len(span)
-            ids[hub] = 2
-            counts = Counter({0: vertex_count - len(span) - 1 + inside, 1: len(span) - inside, 2: 1})
-        overwritten: Counter[int] = Counter()
-        target_degrees = map(degrees.__getitem__, _pieces(targets, _slots(offsets, p_runs)))
-        sums = map(sum, map(islice, repeat(target_degrees), _pieces(degrees, p_runs)))
-        # map draws each label, then len(rank), before its lookup, so a new
-        # label gets the next id
-        p_ids = map(rank.setdefault, zip(_pieces(degrees, p_runs), sums), map(len, repeat(rank)))
-        for start, end in _blocks(p_runs):
-            block = list(islice(p_ids, end - start))
-            if len(rank) > 256 and isinstance(ids, bytearray):
-                ids = list(ids)
-            overwritten.update(ids[start:end])
-            counts.update(block)
-            ids[start:end] = block
-        counts.subtract(overwritten)
-        # a label is (degree, neighbor_sum), in the order of these tables
-        labels = list(rank)
-        width = len(labels)
-
-        # S: the vertices off the most common id; only their rows are
-        # walked, a hub's span row as one count of its span's ids, its own
-        # left out
-        common = max(counts, key=counts.__getitem__)
-        pairs: Counter[int] = Counter()
-        walked = 0
-        if span and ids[hub] != common:
-            source = ids[hub] * width
-            row_ids = ids[span.start : span.stop]
-            if inside:
-                del row_ids[hub - span.start]
-            if isinstance(row_ids, bytearray):
-                # the common id is counted apart, dropped at C speed
-                others = row_ids.translate(None, bytes((common,)))
-                if len(others) < len(row_ids):
-                    pairs[source + common] += len(row_ids) - len(others)
-                row_ids = others
-            pairs.update(map(source.__add__, row_ids))
-            walked = deg
-        s_runs = _without(_differing(ids, common), spanned)
-        s_slots = _slots(offsets, s_runs)
-        source_ids = chain.from_iterable(
-            map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _pieces(degrees, s_runs))
-        )
-        pairs.update(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
+            # S: the vertices off the most common id; only their rows are
+            # walked, a hub's span row as one count of its span's ids, its
+            # own left out
+            common = max(counts, key=counts.__getitem__)
+            pairs: Counter[int] = Counter()
+            walked = 0
+            s_runs = _without(_differing(ids, common), spanned)
+            if span and ids[hub] != common:
+                # the span's ids off the common one are those of S inside
+                # it; the common id is counted as the rest of the span
+                source = ids[hub] * width
+                in_span = list(filter(span.__contains__, _pieces(range(vertex_count), s_runs)))
+                pairs.update(map(source.__add__, map(ids.__getitem__, in_span)))
+                if n_common := len(span) - inside - len(in_span):
+                    pairs[source + common] = n_common
+                walked = deg
+            s_slots = _slots(offsets, s_runs)
+            source_ids = chain.from_iterable(
+                map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _degrees(offsets, after, s_runs))
+            )
+            pairs.update(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
         # a slot from S to a most-common vertex is counted twice, once for
         # its mirror in that vertex's row, which is not walked; the slots
-        # left over join two most-common vertices
-        rest = len(targets) - walked - sum(end - start for start, end in s_slots)
+        # left over join two most-common vertices; sub(start, end) is the
+        # length of a slot run, negated
+        rest = len(targets) - walked + sum(starmap(sub, s_slots))
         for pair in range(common, width * width, width):
             if pair in pairs:
                 rest -= pairs[pair]
@@ -546,11 +556,13 @@ class Graph:
             degree_table[key] = degree_table.get(key, 0) + count
             key = (s, t) if s <= t else (t, s)
             sum_table[key] = sum_table.get(key, 0) + count
-        tables = {DEGREE: degree_table, NEIGHBOR_SUM: sum_table}
-        classes = MappingProxyType({
-            mode: MappingProxyType({key: count // 2 for key, count in table.items()})
-            for mode, table in tables.items()
-        })
+        # each edge was counted once in each orientation
+        for table in (degree_table, sum_table):
+            for key in table:
+                table[key] //= 2
+        classes = MappingProxyType(
+            {DEGREE: MappingProxyType(degree_table), NEIGHBOR_SUM: MappingProxyType(sum_table)}
+        )
         self._classes = classes
         return classes
 

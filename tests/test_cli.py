@@ -756,23 +756,32 @@ class TestModuleEntryPoint:
         exe = shutil.which(f"python{version}")
         if exe is None:
             pytest.skip(f"python{version} is not installed")
-        probe = subprocess.run(
-            [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        if probe.returncode != 0 or probe.stdout.strip() != version:
-            pytest.skip(f"python{version} is found but does not start as {version}")
+        # a pyenv shim starts the version that PYENV_VERSION names, and
+        # may find no python{version} in the versions it would pick itself
+        for pinned in ({}, {"PYENV_VERSION": version}):
+            probe = subprocess.run(
+                [exe, "-c", "import sys; print(*sys.version_info[:2], sep='.')"],
+                env={**os.environ, **pinned},
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            if probe.returncode == 0 and probe.stdout.strip() == version:
+                break
+        else:
+            pytest.skip(
+                f"python{version} is found but does not start as {version}, "
+                f"with PYENV_VERSION={version} or without"
+            )
         edges = tmp_path / "hanoi3.txt"
         edges.write_text(to_edge_list(FAMILIES["hanoi"].build(3)), encoding="utf-8")
         outputs = {}
-        for interpreter in (sys.executable, exe):
+        for interpreter, env in ((sys.executable, {}), (exe, pinned)):
             report = tmp_path / f"{Path(interpreter).name}.json"
             runs = [
                 subprocess.run(
                     [interpreter, "-m", "topoindices", *argv],
-                    env={**os.environ, "PYTHONPATH": SRC_PATH},
+                    env={**os.environ, **env, "PYTHONPATH": SRC_PATH},
                     capture_output=True,
                     timeout=120,
                 )

@@ -237,7 +237,7 @@ class TestHanoiLanes:
     def test_lanes_have_headroom_at_the_caps(self):
         # every id and offset of hanoi(HANOI_MAX_N) is below 3**(HANOI_MAX_N + 1),
         # and of double_wheel(DW_MAX_N) at most 8 * DW_MAX_N; below the sign
-        # bit, no lane of `_write` or `_degree_column` carries
+        # bit, no lane of `_write` or `_degree_blocks` carries
         # into or borrows from the next, nor does a writer block's lane past
         # the end of its run, at most 3 * _BLOCK above the run's last item
         limit = 2 ** (8 * array(TYPECODE).itemsize - 1)
@@ -410,24 +410,33 @@ class TestMemoryLayout:
         _, _, peak = retained_and_peak_bytes(lambda ends: _csr(40001, ends), ends)
         assert peak <= 1.02 * 2_431_560
 
-    def test_hanoi_build_and_classes_keep_near_the_graph(self):
+    @pytest.mark.parametrize("build, n", [(hanoi, 12), (double_wheel, 20000)])
+    def test_hanoi_build_and_classes_keep_near_the_graph(self, build, n):
         # hanoi(12) kept 17,006,336 B with 8-byte items. Its build peaked at
         # 1.25x that while the old level, a degree array and the offsets
         # accumulated from it were held next to the targets, and edge_classes
         # at 1.52x while it held lists of degrees and ids. With 4-byte items
-        # it keeps 8,503,276 B; the build peaks at 1.008x, and edge_classes
-        # holds 2.03 B per vertex above the graph, its two byte columns
+        # it keeps 8,503,276 B; the build peaks at 1.008x. edge_classes held
+        # 2.03 B per vertex above the graph while it kept a degree column
+        # next to the ids, and 7.2 B at dw(20000), whose hub widened that
+        # column to 4 B per vertex; with the ids its one byte column, 1.03
+        # and 1.13. A small graph is classified first: the first
+        # Counter.update of an iterable in a process fills the caches of
+        # abc's isinstance check, some 4 KB, once, whatever the graph
+        build(3).edge_classes()
         tracemalloc.start()
         try:
-            g = hanoi(12)
+            g = build(n)
             retained, build_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             g.edge_classes()
             _, classes_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert build_peak <= 1.1 * retained
-        assert classes_peak - retained <= 2.2 * g.vertex_count
+        if build is hanoi:
+            # the double wheel's build is held by test_double_wheel_build_peak
+            assert build_peak <= 1.1 * retained
+        assert classes_peak - retained <= 1.2 * g.vertex_count
 
 
 class TestEdgeListMemory:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import neighbors, reference_edge_classes, shuffled_edge_list
 from topoindices import Graph, double_wheel, from_edge_list, graph, hanoi, to_edge_list
-from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _degree_column
+from topoindices.graph import _BLOCK, DEGREE, NEIGHBOR_SUM, TYPECODE, _odd_degrees
 
 
 def triangle() -> Graph:
@@ -43,12 +43,24 @@ def rows_read(monkeypatch):
     return read
 
 
-def assert_degree_column(g: Graph) -> None:
-    """The classifier's degree column and counts agree with ``degree``."""
-    column, counts = _degree_column(g._offsets)
+def odd_degrees(g: Graph) -> tuple[Counter[int], int, list[tuple[int, int]]]:
+    """The classifier's degree counts, most common degree and runs off it."""
+    with memoryview(g._offsets)[1:] as after:
+        return _odd_degrees(g._offsets, after)
+
+
+def assert_odd_degrees(g: Graph) -> None:
+    """The classifier's degree counts, and its runs of the vertices off the
+    most common degree, the first met of a tie, agree with ``degree``."""
+    counts, d0, odd = odd_degrees(g)
     degrees = list(map(g.degree, range(g.vertex_count)))
-    assert list(column) == degrees
     assert counts == Counter(degrees)
+    assert list(counts) == list(Counter(degrees))
+    assert d0 == max(counts, key=counts.__getitem__, default=0)
+    assert all(start < end for start, end in odd)
+    assert [v for start, end in odd for v in range(start, end)] == [
+        v for v, degree in enumerate(degrees) if degree != d0
+    ]
 
 
 class TestConstruction:
@@ -291,7 +303,7 @@ class TestEdgeClasses:
         ],
     )
     def test_regular_graphs_have_one_class(self, g):
-        assert_degree_column(g)
+        assert_odd_degrees(g)
         d, m = g.degree(0), g.edge_count()
         expected = {DEGREE: {(d, d): m}, NEIGHBOR_SUM: {(d * d, d * d): m}}
         assert classes(g) == reference_edge_classes(g) == expected
@@ -336,32 +348,26 @@ class TestEdgeClasses:
 
     @pytest.mark.parametrize("degree", [255, 256, 257])
     def test_hub_past_the_first_block(self, degree):
-        # a cycle with a hub in its third block: the degree column is a
-        # bytearray until that block, and an array of TYPECODE ints from
-        # there on when a degree is 256 or more
+        # a cycle with a hub in its third block, whose degree fits a byte
+        # or not, joined to the cycle's first degree - 2 vertices
         hub = 2 * _BLOCK + 7
         g = Graph(3 * _BLOCK, [*cycle(3 * _BLOCK).edges(), *((hub, v) for v in range(degree - 2))])
         assert g.degree(hub) == degree
-        column = _degree_column(g._offsets)[0]
-        if degree >= 256:
-            assert isinstance(column, array) and column.typecode == TYPECODE
-        else:
-            assert isinstance(column, bytearray)
-        assert_degree_column(g)
+        assert odd_degrees(g)[2][-1] == (hub, hub + 1)
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize("hub", [_BLOCK, 2000], ids=["late-block-first-lane", "short-last-block"])
     def test_hub_swapped_into_a_later_block(self, hub):
-        # dw(1000)'s hub swapped with a ring vertex: the column is narrow
-        # until the hub's block, the first lane of block 1 or the last lane
-        # of the short last block of 2001 % _BLOCK = 209 lanes, and widens
-        # there with the degrees before it kept
+        # dw(1000)'s hub swapped with a ring vertex, into the first lane of
+        # block 1 or the last lane of the short last block of
+        # 2001 % _BLOCK = 209 lanes: the one vertex off d0 = 4
         n = 1000
         ids = list(range(2 * n + 1))
         ids[0], ids[hub] = hub, 0
         g = Graph(2 * n + 1, [(ids[u], ids[v]) for u, v in double_wheel(n).edges()])
-        assert isinstance(_degree_column(g._offsets)[0], array)
-        assert_degree_column(g)
+        assert odd_degrees(g)[2] == [(hub, hub + 1)]
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g) == classes(double_wheel(n))
 
     @pytest.mark.parametrize(
@@ -376,9 +382,9 @@ class TestEdgeClasses:
         ids=["triangle-and-edge", "star-first-lane", "star-inside"],
     )
     def test_most_common_degree_0(self, g):
-        counts = _degree_column(g._offsets)[1]
+        counts = odd_degrees(g)[0]
         assert counts.most_common(1)[0][0] == 0
-        assert_degree_column(g)
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g)
 
     def test_tied_most_common_degrees(self):
@@ -396,10 +402,10 @@ class TestEdgeClasses:
 
         d0s = []
         for g in map(spider, (True, False)):
-            counts = _degree_column(g._offsets)[1]
+            counts = odd_degrees(g)[0]
             d0s.append(max(counts, key=counts.__getitem__))
             assert counts[1] == counts[2] == legs
-            assert_degree_column(g)
+            assert_odd_degrees(g)
             assert classes(g) == reference_edge_classes(g) == classes(spider(True))
         assert d0s == [1, 2]
 
@@ -418,7 +424,7 @@ class TestEdgeClasses:
         random.Random(5).shuffle(perm)
         g = Graph(2 * n + 1, [(perm[u], perm[v]) for u, v in double_wheel(n).edges()])
         assert 0 < perm[0] < 2 * n
-        assert isinstance(_degree_column(g._offsets)[0], array)
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g) == classes(double_wheel(n))
 
     @pytest.mark.parametrize("n", [3, 64, 127])
@@ -507,13 +513,12 @@ class TestEdgeClasses:
         assert classes(g) == reference_edge_classes(g)
 
     def test_most_common_degree_of_256_or_more(self):
-        # K_300 and a vertex joined to 0..259: d0 = 300, the degree column
-        # is an array, and the rows of 299 and of the new vertex are runs
-        # that lower the sums of their targets
+        # K_300 and a vertex joined to 0..259: d0 = 300, and the rows of 299
+        # and of the new vertex are runs that lower the sums of their targets
         edges = [(u, v) for v in range(300) for u in range(v)]
         g = Graph(301, [*edges, *((300, v) for v in range(260))])
         assert Counter(map(g.degree, range(301))).most_common(1) == [(300, 260)]
-        assert isinstance(_degree_column(g._offsets)[0], array)
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize("run", [260, 380])
@@ -644,7 +649,7 @@ class TestEdgeClasses:
         loop = [odd, *range(size, size + 9), odd]
         g = Graph(size + 9, [*cycle(size).edges(), *zip(loop, loop[1:])])
         assert [v for v in range(g.vertex_count) if g.degree(v) != 2] == [odd]
-        assert_degree_column(g)
+        assert_odd_degrees(g)
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize(
