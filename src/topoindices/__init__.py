@@ -37,7 +37,6 @@ _EXPORTS = {
         "Summary",
         "VerificationEntry",
         "VerificationReport",
-        "brute_force_value",
         "combine_reports",
         "errata_report",
         "relative_error",

@@ -17,20 +17,17 @@ from typing import NamedTuple
 
 from .closed_forms import DW, FAMILIES, HANOI, ClosedFormResult, Variant, closed_form, get_family
 from .graph import Graph
-from .indices import IndexKind, compute_index
+from .indices import IndexKind, _require_kind, compute_index
 from .partition import neighbor_sum_partition
 
 DEFAULT_TOLERANCE = 1e-9
 
-# A relative error above this marks a closed form as wrong (errata_report).
-# DEFAULT_TOLERANCE is far below it, so no check can pass such a formula.
-MISMATCH_ERROR = 0.1
-
 # The size of the graphs whose numbers back the errata (errata_report).
 _PROBE_N = 3
 
-# Avoids division by zero in relative errors; index values in scope are
-# all >= 1, so this floor never activates in practice.
+# Avoids division by zero in relative errors. It applies only to an oracle
+# below it in size, as in relative_error(0.0, 0.0); every index value that a
+# check computes is >= 1, so no check reaches it.
 _REL_ERROR_FLOOR = 1e-300
 
 # Encoder chunks per join in VerificationReport.to_json.
@@ -106,11 +103,6 @@ def relative_error(closed: float, oracle: float) -> float:
     return abs(closed - oracle) / max(abs(oracle), _REL_ERROR_FLOOR)
 
 
-def brute_force_value(family: str, kind: IndexKind, n: int) -> float:
-    """Oracle value: direct edge summation over the generated graph."""
-    return compute_index(get_family(family).build(n), kind)
-
-
 def verify_entry(
     family: str,
     kind: IndexKind,
@@ -159,17 +151,20 @@ def verify_family(
     neighbor-sum kinds). An explicit range must respect each kind's floor
     and the generator size cap; the checks run per kind in
     :class:`IndexKind` order, each raising for an empty range, then a start
-    below the floor, then an end above the cap.
+    below the floor, then an end above the cap. Before them, ``kinds`` is
+    read once: an item that is not an :class:`IndexKind` raises
+    ``TypeError``, and an empty selection ``ValueError``.
 
     Entries are listed in :class:`IndexKind` order, then by n, whatever the
     order of ``kinds``. The report carries the errata.
     """
     record = get_family(family)
-    if kinds is None:
-        kinds = tuple(IndexKind)
-    elif not set(kinds) <= set(IndexKind):
-        raise TypeError(f"kinds must be IndexKind members, got {kinds!r}")
-    kinds = tuple(kind for kind in IndexKind if kind in kinds)
+    selected = tuple(IndexKind) if kinds is None else tuple(kinds)
+    for kind in selected:
+        _require_kind(kind)
+    if not selected:
+        raise ValueError("no kinds to verify")
+    kinds = tuple(kind for kind in IndexKind if kind in selected)
 
     lo, hi = n_range if n_range is not None else (None, record.default_max_n)
     starts = {kind: record.min_n(kind) if lo is None else lo for kind in kinds}
@@ -190,7 +185,7 @@ def verify_family(
     # Build each graph once, check every kind on it, and let it go, so at
     # most one graph is held at a time.
     entries: dict[IndexKind, list[VerificationEntry]] = {kind: [] for kind in kinds}
-    for n in range(min(starts.values(), default=hi + 1), hi + 1):
+    for n in range(min(starts.values()), hi + 1):
         graph = record.build(n)
         for kind, start in starts.items():
             if start <= n:
@@ -209,9 +204,10 @@ def combine_reports(reports: list[VerificationReport]) -> VerificationReport:
     return _report(tuple(e for report in reports for e in report.entries), errata)
 
 
-def verify_all(variant: Variant = Variant.PROOF_DERIVED) -> VerificationReport:
-    """Verify both families over their default ranges in one report."""
-    return combine_reports([verify_family(family, variant=variant) for family in FAMILIES])
+def verify_all() -> VerificationReport:
+    """Verify the proof-derived closed forms of both families over their
+    default ranges in one report."""
+    return combine_reports([verify_family(family) for family in FAMILIES])
 
 
 def errata_report() -> list[Erratum]:
@@ -221,13 +217,13 @@ def errata_report() -> list[Erratum]:
     variants with :func:`verify_entry` on ``double_wheel(3)`` and emits the
     abc4 erratum when the stated form equals the degree-based abc closed
     form bit for bit, the proof-derived form passes at
-    ``DEFAULT_TOLERANCE``, and the stated one is off by more than
-    ``MISMATCH_ERROR``. The Hanoi erratum follows when the reconstructed
-    count of the neighbor-sum partition's missing (9, 9) class,
-    ``(3**(k+1) - 33) // 2``, equals the count enumerated on ``hanoi(k)``
-    at ``k = 3`` and at ``k = 4``; its evidence is that of ``k = 3``. Last
-    comes a static documentation erratum: the double-wheel abc4 derivation
-    cites a partition table by a number that does not exist.
+    ``DEFAULT_TOLERANCE``, and the stated one fails at it. The Hanoi
+    erratum follows when the reconstructed count of the neighbor-sum
+    partition's missing (9, 9) class, ``(3**(k+1) - 33) // 2``, equals the
+    count enumerated on ``hanoi(k)`` at ``k = 3`` and at ``k = 4``; its
+    evidence is that of ``k = 3``. Last comes a static documentation
+    erratum: the double-wheel abc4 derivation cites a partition table by a
+    number that does not exist.
     """
     errata: list[Erratum] = []
 
@@ -237,7 +233,7 @@ def errata_report() -> list[Erratum]:
         for variant in (Variant.AS_STATED, Variant.PROOF_DERIVED)
     )
     duplicate = stated.closed_value == closed_form(DW, IndexKind.ABC, _PROBE_N).value
-    if duplicate and derived.passed and stated.rel_error > MISMATCH_ERROR:
+    if duplicate and derived.passed and not stated.passed:
         errata.append(
             Erratum(
                 location="double-wheel abc4 closed form (statement vs. derivation)",

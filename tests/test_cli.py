@@ -923,11 +923,10 @@ class TestArgparseContract:
 SIGNATURES = {
     "verify": {
         "relative_error": ["closed", "oracle"],
-        "brute_force_value": ["family", "kind", "n"],
         "verify_entry": ["family", "kind", "n", "graph", "variant"],
         "verify_family": ["family", "kinds=None", "n_range=None", "variant=Variant.PROOF_DERIVED"],
         "combine_reports": ["reports"],
-        "verify_all": ["variant=Variant.PROOF_DERIVED"],
+        "verify_all": [],
         "errata_report": [],
     },
     "closed_forms": {
