@@ -14,7 +14,6 @@ size.
 from __future__ import annotations
 
 import json
-import re
 from array import array
 from bisect import bisect_right
 from collections.abc import Container, Iterable, Iterator
@@ -26,19 +25,19 @@ from .graph import Graph, _as_run, _connectivity_problem, _csr, _walk
 
 
 # Characters of edge-list text read at a time, so that neither the text nor
-# a list of every line is held: about 5000 lines, a few hundred kB of str or
-# int objects.
-_READ_CHUNK = 1 << 16
+# a list of every line is held: about 3000 lines, a few hundred kB of str or
+# int objects, which keeps the read below the peak of the CSR fill.
+_READ_CHUNK = 1 << 15
 
 # The characters that end a line in `str.splitlines`, where "\r\n" ends one
 # line too.
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
-# The characters of a plain chunk, and a line of one with a third field.
-# Both are flat, so that matching holds no state per line; a nested group
-# such as "(?:[0-9]+ [0-9]+\n)*" keeps one on the regex engine's stack.
-_PLAIN = "[0-9 \n]*"
-_THIRD_FIELD = " [0-9]+ "
+# Tables for `str.translate`: one deletes the ASCII digits, which leaves
+# " \n" a line of a plain chunk; one turns its spaces and line breaks into
+# the commas of a JSON array.
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 def _line_chunks(source: str | TextIO) -> Iterator[str]:
@@ -84,21 +83,20 @@ def _read_plain(chunk: str, ends: array) -> int | None:
     A chunk is plain when every line of it is two ASCII decimal ids with no
     leading zero, one space apart, ending in ``"\\n"``. Its lines then read
     as one JSON array once each space and line break is a comma, and JSON's
-    integers are the ints ``int()`` reads from them. A chunk is not plain if
-    it holds any other character, a line with a third field or a last line
-    without ``"\\n"``. Nor is it when the decode fails, as an empty field (a
-    blank line, two spaces), a leading zero or an id over ``int``'s digit
-    limit makes it, or when it gives fewer than two ids a line, as a line of
-    one field does, or when an id overflows ``ends``.
+    integers are the ints ``int()`` reads from them. A chunk is not plain
+    unless, its ASCII digits deleted, it is ``" \\n"`` once per line, so
+    any other character, a blank line, a line of one field or three, or a
+    last line without ``"\\n"`` fails that test. Nor is it when the decode
+    fails, as an empty field (a line that starts or ends with its space), a
+    leading zero or an id over ``int``'s digit limit makes it, or when an id
+    overflows ``ends``.
     """
-    if not chunk.endswith("\n") or not re.fullmatch(_PLAIN, chunk) or re.search(_THIRD_FIELD, chunk):
+    lines = chunk.count("\n")
+    if chunk.translate(_NO_DIGITS) != " \n" * lines:
         return None
     try:
-        ids = json.loads("[" + chunk[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        ids = json.loads("[" + chunk[:-1].translate(_COMMAS) + "]")
     except ValueError:
-        return None
-    lines = chunk.count("\n")
-    if len(ids) != 2 * lines:
         return None
     size = len(ends)
     try:

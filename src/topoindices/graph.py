@@ -8,10 +8,12 @@ column of endpoint ids to one CSR builder. The constructor first rejects
 bad ids and self-loops and merges duplicate edges. The parser first checks
 the ids' range, and afterwards walks the columns with :func:`_walk`, which
 names the rows that list an id twice, as a self-loop or a duplicate edge
-leaves them; it rejects the text if there is one. The generators write
-columns that hold the invariant by construction. No query checks it
-again, and :meth:`Graph.validate` uses the same walk only to check that a
-graph is connected.
+leaves them; it rejects the text if there is one. Neither the builder
+nor the walk holds an int object per vertex: their per-vertex lists hold
+CPython's cached small ints, a row's count of filled slots or a stamp
+below 256. The generators write columns that hold the invariant by
+construction. No query checks it again, and :meth:`Graph.validate` uses
+the same walk only to check that a graph is connected.
 
 The graph is stored in CSR (compressed sparse rows) form, two flat
 ``array`` columns of signed 32-bit ints and nothing per vertex. Every id
@@ -50,7 +52,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import accumulate, chain, compress, islice, pairwise, repeat, starmap, tee
+from itertools import accumulate, chain, compress, cycle, islice, pairwise, repeat, starmap, tee
 from operator import add, itemgetter, sub
 from types import MappingProxyType
 
@@ -75,6 +77,12 @@ def _csr(vertex_count: int, ends: Sequence[int]) -> tuple[array, array]:
     endpoints' rows, so a row lists its neighbors in the order of ``ends``.
     A loop ``(u, u)`` or a repeated edge leaves a repeated id in a row.
 
+    ``filled[u]`` counts the slots of ``u``'s row written so far, and the
+    next one is ``offsets[u] + filled[u]``. No per-vertex list holds an
+    offset: a count below 257 is one of CPython's cached small ints, so the
+    degree list and ``filled`` hold 8 bytes per vertex and no int object
+    but a wide row's.
+
     Raises ``ValueError``, before allocating anything, when ``vertex_count``
     or ``len(ends)``, the largest offset, does not fit a ``TYPECODE`` item.
     """
@@ -83,23 +91,29 @@ def _csr(vertex_count: int, ends: Sequence[int]) -> tuple[array, array]:
             f"graph too large: {vertex_count} vertices and {len(ends)} edge ends, "
             f"but the CSR columns hold at most {_MAX_ITEM} of each"
         )
-    # each vertex's degree, then the next free slot of its row, which
-    # starts at the row's offset
-    cursor = [0] * vertex_count
+    degrees = [0] * vertex_count
     for v in ends:
-        cursor[v] += 1
-    cursor = list(accumulate(cursor, initial=0))
-    offsets = array(TYPECODE, cursor)
+        degrees[v] += 1
+    # summed straight into an array; its copy drops the spare room the
+    # array grew with
+    offsets = array(TYPECODE, accumulate(degrees, initial=0))[:]
+    del degrees
+    filled = [0] * vertex_count
     targets = array(TYPECODE, [0]) * len(ends)
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
-        i = cursor[u]
-        targets[i] = v
-        cursor[u] = i + 1
-        i = cursor[v]
-        targets[i] = u
-        cursor[v] = i + 1
+        i = filled[u]
+        targets[offsets[u] + i] = v
+        filled[u] = i + 1
+        i = filled[v]
+        targets[offsets[v] + i] = u
+        filled[v] = i + 1
     return offsets, targets
+
+
+# The stamps of `_walk`: a row's reading count in its component, mod 256,
+# so that every stamp is a cached small int.
+_STAMPS = range(256)
 
 
 def _walk(offsets: array, targets: array) -> tuple[int, set[int]]:
@@ -109,42 +123,62 @@ def _walk(offsets: array, targets: array) -> tuple[int, set[int]]:
     none, and the set of rows that list some id twice, as a self-loop or a
     repeated edge leaves them. Every id must be in ``[0, vertex_count)``.
 
-    One stamp per vertex: ``last[u]`` is the row that last listed ``u``, or
-    -1 while no row has. Each row is read once, when the walk reaches its
-    vertex, so a row that meets its own stamp lists that id a second time,
-    and an id that meets -1 is reached for the first time. A component's
-    first vertex is stamped with its own id, which only a row that lists
-    itself can meet. Once vertex 0's component is walked, the next vertex
-    still at -1 starts the next component, until none is left.
+    One stamp per vertex: ``last[u]`` is the stamp of the row that last
+    listed ``u``, or -1 while no row has. Each row is read once, when the
+    walk reaches its vertex, and is stamped with the number of rows of its
+    component read before it, mod 256. An id that meets -1 is reached for
+    the first time. A row that lists an id twice meets its own stamp at the
+    second, so it is flagged; so is a row that meets the stamp of a row read
+    a multiple of 256 rows before it, and a component's first vertex,
+    stamped 0 as its own row is, when its row lists it. Each flagged row is
+    read once more against a ``bytearray`` mark of its ids, which keeps
+    only the rows that do list an id twice. Once vertex 0's component is
+    walked, the next vertex still at -1 starts the next component, until
+    none is left.
 
     ``last`` is a list, not an ``array``, because CPython specializes list
-    indexing: the walk takes about half the time. It holds 8 bytes per vertex
-    in ``last``, 8 per vertex of the component being walked, and an int per
-    vertex reached, which a stamp keeps.
+    indexing: the walk takes about half the time. Every stamp is a cached
+    small int, so the walk holds 8 bytes per vertex in ``last``, 4 per
+    vertex of the component being walked, in an ``array``, a byte per
+    vertex in the mark, and no int object per vertex. Rows are read through
+    a view of ``targets``, so that a hub's row is not copied.
     """
     vertex_count = len(offsets) - 1
     last = [-1] * vertex_count
-    repeats: set[int] = set()
+    flagged: set[int] = set()
     reached = 0
     start = 0
-    while start < vertex_count:
-        last[start] = start
-        # every vertex of the component, in the order the walk reaches it
-        component = [start]
-        for v in component:
-            for u in targets[offsets[v] : offsets[v + 1]]:
-                stamp = last[u]
-                if stamp < 0:
-                    component.append(u)
-                elif stamp == v:
+    with memoryview(targets) as view:
+        while start < vertex_count:
+            last[start] = 0
+            # every vertex of the component, in the order the walk reaches it
+            component = array(TYPECODE, [start])
+            append = component.append
+            for v, stamp in zip(component, cycle(_STAMPS)):
+                for u in view[offsets[v] : offsets[v + 1]]:
+                    seen = last[u]
+                    if seen < 0:
+                        append(u)
+                    elif seen == stamp:
+                        flagged.add(v)
+                    last[u] = stamp
+            if start == 0:
+                reached = len(component)
+            try:
+                start = last.index(-1, start + 1)
+            except ValueError:
+                break
+        repeats: set[int] = set()
+        mark = bytearray(vertex_count)
+        for v in flagged:
+            row = view[offsets[v] : offsets[v + 1]]
+            for u in row:
+                if mark[u]:
                     repeats.add(v)
-                last[u] = v
-        if start == 0:
-            reached = len(component)
-        try:
-            start = last.index(-1, start + 1)
-        except ValueError:
-            break
+                    break
+                mark[u] = 1
+            for u in row:
+                mark[u] = 0
     return reached, repeats
 
 

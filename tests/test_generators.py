@@ -401,14 +401,16 @@ class TestMemoryLayout:
             assert peak <= 1.1 * plain_peak, ids[0]
 
     def test_csr_peak(self):
-        # 2,431,560 B at shuffled dw(20000): the cursor list and its ints,
-        # the offsets and the targets. The degree list is freed once the
-        # cursor list is summed from it, before the targets are allocated,
-        # so it is no part of the peak
+        # 1,120,448 B at shuffled dw(20000): the list of each row's filled
+        # slots, all cached small ints, the offsets and the targets. The
+        # degree list is freed once the offsets are summed from it, before
+        # the targets are allocated, so it is no part of the peak. A cursor
+        # list of each row's next offset, an int per vertex, peaked at
+        # 2,431,560 B
         text = shuffled_edge_list(to_edge_list(double_wheel(20000)), seed=7)
         ends = array("I", map(int, text.split()))
         _, _, peak = retained_and_peak_bytes(lambda ends: _csr(40001, ends), ends)
-        assert peak <= 1.02 * 2_431_560
+        assert peak <= 1.02 * 1_120_448
 
     @pytest.mark.parametrize("build, n", [(hanoi, 12), (double_wheel, 20000)])
     def test_hanoi_build_and_classes_keep_near_the_graph(self, build, n):
@@ -447,9 +449,11 @@ class TestEdgeListMemory:
 
     def test_parse_peak(self):
         # 2,180,156 B while the parser held an array per vertex and then
-        # flattened them; 1,317,558 B with one flat column of endpoint ids
+        # flattened them; 1,317,558 B with one flat column of endpoint ids,
+        # 807,208 B while the CSR fill and the walk held an int per vertex,
+        # and 447,992 B without
         _, _, peak = retained_and_peak_bytes(from_edge_list, to_edge_list(double_wheel(5000)))
-        assert peak <= 1.1 * 1_317_558
+        assert peak <= 1.1 * 447_992
 
     def test_fault_reread_peak(self):
         # a fault on the last line: 15,809,876 B while the built graph was
@@ -467,7 +471,8 @@ class TestEdgeListMemory:
 
     def test_walk_fault_reread_tracks_flagged_rows(self, monkeypatch):
         # the walk flags rows 0 and 1 alone, so the re-read holds no edge
-        # but (0, 1): the peak is the first read's, 3,140,945 B, where a
+        # but (0, 1): the peak is the first read's, 1,797,433 B (3,140,945 B
+        # while the CSR fill and the walk held an int per vertex), where a
         # re-read holding every edge peaked at 9,163,316 B. The first read's
         # line count comes with them, so the text is not split to count it
         text = to_edge_list(double_wheel(20000)) + "1 0\n"
@@ -486,7 +491,7 @@ class TestEdgeListMemory:
         finally:
             tracemalloc.stop()
         assert flagged == [(80001, {0, 1})]
-        assert peak <= 1.1 * 3_140_945
+        assert peak <= 1.1 * 1_797_433
 
     @pytest.mark.parametrize("fault", ["1 0\n", "1 x\n", "0 99999\n"])
     def test_fault_reread_holds_no_column(self, monkeypatch, fault):
@@ -516,7 +521,8 @@ class TestEdgeListMemory:
     def test_file_parse_holds_no_text(self, tmp_path):
         # shuffled dw(20000), 766,682 characters: read whole and then
         # parsed, as `--edges` did, it peaked at 3,914,748 B; a file read a
-        # block at a time peaks at 3,146,444 B
+        # block at a time peaked at 3,146,444 B while the CSR fill and the
+        # walk held an int per vertex, and peaks at 1,802,519 B
         text = shuffled_edge_list(to_edge_list(double_wheel(20000)), seed=7)
         path = tmp_path / "dw.txt"
         path.write_text(text, encoding="utf-8")
@@ -529,6 +535,7 @@ class TestEdgeListMemory:
         g, _, file_peak = retained_and_peak_bytes(parse, False)
         assert g == double_wheel(20000)
         assert file_peak <= text_peak - 0.8 * len(text)
+        assert file_peak <= 1.1 * 1_802_519
 
     def test_write_peak(self):
         _, _, peak = retained_and_peak_bytes(to_edge_list, double_wheel(20000))

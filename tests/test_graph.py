@@ -245,6 +245,13 @@ class TestValidate:
         assert g.validate() == problem
 
 
+# The edge ends of double_wheel(300), and a relabelling that moves its hub
+# to id 500, so that the walk starts at a ring vertex
+DW300 = [end for edge in double_wheel(300).edges() for end in edge]
+RELABEL = list(range(601))
+RELABEL[0], RELABEL[500] = 500, 0
+
+
 class TestWalk:
     """One walk over every component finds the rows that repeat an id and
     the size of vertex 0's component."""
@@ -261,10 +268,35 @@ class TestWalk:
             (3, [0, 0, 1, 2, 2, 2], 1, {0, 2}),
             # a repeated edge repeats an id in both of its endpoints' rows
             (4, [0, 1, 1, 2, 2, 3, 3, 2], 4, {2, 3}),
+            # stamps wrap: ring rows read 256 rows after the hub's row meet
+            # its stamp, and only the confirming read tells them clean
+            (601, DW300, 601, set()),
+            # one ring edge repeated: exactly its two rows
+            (601, DW300 + [7, 8], 601, {7, 8}),
+            # the hub, at id 500, is read after vertex 0, a ring vertex
+            (601, [RELABEL[v] for v in DW300], 601, set()),
+            (601, [RELABEL[v] for v in DW300 + [7, 8]], 601, {RELABEL[7], RELABEL[8]}),
         ],
     )
     def test_walk(self, vertex_count, ends, reached, repeats):
         assert graph._walk(*graph._csr(vertex_count, ends)) == (reached, repeats)
+
+    def test_walk_holds_no_int_per_vertex(self):
+        # relabelled dw(20000): the stamps list, the component array and
+        # the mark, 13.6 B per vertex; about 52 B while the component was a
+        # list and each stamp the int of a vertex id, and more again with a
+        # set of the hub's row to confirm it
+        n = 20000
+        perm = list(range(2 * n + 1))
+        random.Random(5).shuffle(perm)
+        g = Graph(2 * n + 1, [(perm[u], perm[v]) for u, v in double_wheel(n).edges()])
+        tracemalloc.start()
+        try:
+            assert graph._walk(g._offsets, g._targets) == (2 * n + 1, set())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * g.vertex_count
 
 
 @pytest.mark.parametrize(
