@@ -84,15 +84,15 @@ def _read_plain(chunk: str, ends: array) -> int | None:
     leading zero, one space apart, ending in ``"\\n"``. Its lines then read
     as one JSON array once each space and line break is a comma, and JSON's
     integers are the ints ``int()`` reads from them. A chunk is not plain
-    unless, its ASCII digits deleted, it is ``" \\n"`` once per line, so
-    any other character, a blank line, a line of one field or three, or a
-    last line without ``"\\n"`` fails that test. Nor is it when the decode
-    fails, as an empty field (a line that starts or ends with its space), a
-    leading zero or an id over ``int``'s digit limit makes it, or when an id
-    overflows ``ends``.
+    unless it ends in ``"\\n"``, which a last line without one fails, and,
+    its ASCII digits deleted, is ``" \\n"`` once per line, which any other
+    character, a blank line or a line of one field or three fails. Nor is
+    it when the decode fails, as an empty field (a line that starts or ends
+    with its space), a leading zero or an id over ``int``'s digit limit
+    makes it, or when an id overflows ``ends``.
     """
     lines = chunk.count("\n")
-    if chunk.translate(_NO_DIGITS) != " \n" * lines:
+    if not chunk.endswith("\n") or chunk.translate(_NO_DIGITS) != " \n" * lines:
         return None
     try:
         ids = json.loads("[" + chunk[:-1].translate(_COMMAS) + "]")

@@ -744,7 +744,14 @@ class TestEdgeListSources:
             assert_same_outcome("".join([*lines[:i], line + "\n", *lines[i:]]))
         assert_same_outcome(body + line)
 
-    @pytest.mark.parametrize("text", ["", "\n", "# only a comment", "0 1", "0 1\n1 2"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "# only a comment", "0 1", "0 1\n1 2",
+            # a last line of digits alone: one id, or two run together
+            "7", "0 1\n1 2\n7", "1 2\n2 0\n12",
+        ],
+    )
     def test_short_texts_without_a_last_line_break(self, text):
         assert_same_outcome(text)
 
