@@ -33,12 +33,12 @@ from .graph import _LANE, TYPECODE, Graph
 # runs each).
 #
 # 3**13 is about 1.6M vertices and 2.4M edges. Building hanoi(13) peaks at
-# 39 MiB resident, and `compute --index all` on it at 41 MiB; each further
-# disc triples that.
+# 39 MiB resident, and `compute --index all` on it at 40 MiB; each
+# further disc triples that.
 HANOI_MAX_N = 13
 
 # double_wheel(10**6) has 2M + 1 vertices and 4M edges. `compute` peaks at
-# 55 MiB resident; `generate`, which writes the edge-list text in pieces, at
+# 53 MiB resident; `generate`, which writes the edge-list text in pieces, at
 # 61 MiB; `compute --edges` on the 48.7 MB file `generate` writes, at 99 MiB,
 # with a duplicate edge appended or not.
 DW_MAX_N = 10**6

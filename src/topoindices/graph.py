@@ -38,8 +38,10 @@ the one derived value that is cached, on first use.
 The tables are counted by exception, as :meth:`Graph.edge_classes`
 describes: only the rows of the vertices off the most common label are
 walked. No degree is stored there either: each is read as
-``offsets[v + 1] - offsets[v]``, and the count adds one column to the
-graph, a byte per vertex while there are at most 256 labels.
+``offsets[v + 1] - offsets[v]``. The count keeps its P mask and its label
+ids in block columns (:mod:`topoindices.columns`), in which a block that
+holds one value throughout is a shared one, so on the two families it
+adds no byte per vertex to the graph, only a reference per 256 vertices.
 
 Graphs are immutable after construction, so every query is read-only and
 safe to call concurrently; two threads racing to fill the cache only
@@ -55,6 +57,9 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import accumulate, chain, compress, cycle, islice, pairwise, repeat, starmap, tee
 from operator import add, itemgetter, sub
 from types import MappingProxyType
+
+from .columns import BLOCK as _BLOCK
+from .columns import ONES, Runs, differing, fill, lookup, pieces, runs_off, set_ones, write, zeros
 
 # The two vertex labelings, and the keys of `Graph.edge_classes`
 DEGREE = "degree"
@@ -195,24 +200,14 @@ def _connectivity_problem(vertex_count: int, reached: int) -> str | None:
     return None
 
 
-# Vertex columns are scanned, and CSR columns sliced, this many items at a time.
-_BLOCK = 1 << 8
-
 # Bytes in one CSR item, the 4-byte lane of the lane arithmetic below.
 _LANE = array(TYPECODE).itemsize
 # One in every lane of a block, as an integer in the native byte order of
 # the columns.
 _ONES = int.from_bytes(array(TYPECODE, [1]) * _BLOCK, sys.byteorder)
 
-# A per-vertex column of label ids: a bytearray while every id is below 256,
-# else a list.
-_Column = bytearray | list[int]
 
-# Runs of vertex ids or of target slots, each ``[start, end)``, in order.
-_Runs = list[tuple[int, int]]
-
-
-def _odd_degrees(offsets: array, after: memoryview) -> tuple[Counter[int], int, _Runs]:
+def _odd_degrees(offsets: array, after: memoryview) -> tuple[Counter[int], int, Runs]:
     """The number of vertices of each degree, ``d0``, the most common one,
     the first met of a tie, and the runs of the vertices of another degree.
     ``after`` is the view of ``offsets`` one item on.
@@ -252,47 +247,8 @@ def _odd_degrees(offsets: array, after: memoryview) -> tuple[Counter[int], int, 
     for start in compress(range(0, vertex_count, _BLOCK), map(d0.__ne__, alike)):
         # the last block's slice of `after` ends with the column
         degrees = map(sub, after[start : start + _BLOCK], offsets[start : start + _BLOCK])
-        odd += _runs(bytes(map(d0.__ne__, degrees)), start)
+        odd += runs_off(degrees, d0, start)
     return counts, d0, odd
-
-
-def _runs(flags: bytes | bytearray, base: int = 0) -> _Runs:
-    """The maximal ``[start, end)`` runs of nonzero bytes in ``flags``,
-    shifted by ``base``."""
-    runs = []
-    end = 0
-    while (start := flags.find(1, end)) >= 0:
-        end = flags.find(0, start)
-        if end < 0:
-            end = len(flags)
-        runs.append((base + start, base + end))
-    return runs
-
-
-def _differing(values: _Column, common: int) -> _Runs:
-    """Runs of the positions where ``values`` holds anything but ``common``.
-
-    A block that holds ``common`` throughout costs one C-level ``count``;
-    only the other blocks are compared item by item.
-    """
-    runs = []
-    for start in range(0, len(values), _BLOCK):
-        block = values[start : start + _BLOCK]
-        if block.count(common) != len(block):
-            runs += _runs(bytes(map(common.__ne__, block)), start)
-    return runs
-
-
-def _blocks(runs: _Runs) -> Iterator[tuple[int, int]]:
-    """``runs`` cut into ``[start, end)`` pieces of at most ``_BLOCK`` items."""
-    for start, end in runs:
-        for i in range(start, end, _BLOCK):
-            yield i, min(i + _BLOCK, end)
-
-
-def _pieces(column: Sequence[int], runs: _Runs) -> Iterator[int]:
-    """The items of ``column`` in ``runs``, in order, copied a block at a time."""
-    return chain.from_iterable(map(column.__getitem__, starmap(slice, _blocks(runs))))
 
 
 def _as_run(row: Sequence[int], own: int) -> range | None:
@@ -309,7 +265,7 @@ def _as_run(row: Sequence[int], own: int) -> range | None:
     return range(lo, hi) if hi - lo == len(row) + (lo < own < hi) else None
 
 
-def _without(runs: _Runs, point: int) -> _Runs:
+def _without(runs: Runs, point: int) -> Runs:
     """``runs`` with the id ``point`` taken out; ``-1``, in no run, takes out
     none. The run that holds ``point`` splits in two, and an empty side is
     dropped."""
@@ -319,16 +275,16 @@ def _without(runs: _Runs, point: int) -> _Runs:
     return [run for run in out if run[0] < run[1]]
 
 
-def _slots(offsets: array, runs: _Runs) -> _Runs:
+def _slots(offsets: array, runs: Runs) -> Runs:
     """The target-slot runs of the rows of the vertex runs ``runs``."""
     return [(offsets[start], offsets[end]) for start, end in runs]
 
 
-def _degrees(offsets: array, after: memoryview, runs: _Runs) -> Iterator[int]:
+def _degrees(offsets: array, after: memoryview, runs: Runs) -> Iterator[int]:
     """The degrees of the vertices in ``runs``, in order: the items of
     ``after``, the view of ``offsets`` one item on, less those of
     ``offsets``, copied a block at a time."""
-    return map(sub, _pieces(after, runs), _pieces(offsets, runs))
+    return map(sub, pieces(after, runs), pieces(offsets, runs))
 
 
 class Graph:
@@ -423,12 +379,13 @@ class Graph:
           degree is above ``d0``. When its row lists every id of its span
           ``[lo, hi)`` but, at most, the hub's own (:func:`_as_run`), the hub
           adds its ``deg - d0`` to the sum of every vertex of the span, its
-          own too, and the span is labeled ``(d0, d0 * d0 + deg - d0)``, a
-          block at a time. The hub's own label is written over its slot
-          after: its sum is ``offsets[hi] - offsets[lo]``, the slots of its
-          span's rows, less ``deg`` when the span holds the hub. Only this
-          one row is tested: the double wheel has one hub, and ``hanoi(n)``
-          none above ``d0``.
+          own too, and the span is labeled ``(d0, d0 * d0 + deg - d0)``,
+          id 1, each whole block of it by the shared block of 1. The hub's
+          own label, id 2, is written over its slot after: its sum is
+          ``offsets[hi] - offsets[lo]``, the slots of its span's rows, less
+          ``deg`` when the span holds the hub. Only this one row is
+          tested: the double wheel has one hub, and ``hanoi(n)`` none above
+          ``d0``.
         * Pulls: P, the other vertices of another degree, the hub too when
           its row is no span, and the targets of their rows, sum their
           neighbors' degrees over their own rows, as they are streamed;
@@ -452,19 +409,26 @@ class Graph:
         is read. A second hub is pulled with its targets. On an irregular
         graph P and S are most of the vertices, so the count walks about as
         many slots as counting every slot would. Vertex runs are found a
-        block at a time, so a block without exceptions costs one comparison
-        or one C-level ``count``, and columns are copied a block at a time.
+        block at a time, so a block without exceptions costs one comparison,
+        and columns are copied a block at a time.
 
         No degree is stored. The runs off ``d0`` and the degree counts come
         from the lane pass of :func:`_odd_degrees`, and each other degree
         the count needs, of the hub, P, S and P's targets, is
         ``offsets[v + 1] - offsets[v]``, read through a view of ``offsets``
-        one item on. The P mask and then the ids are the only vertex-length
-        columns, one at a time. The ids start as a ``bytearray``, for at
-        most three labels are known before P, and become a list at the
-        block of P where the 257th label appears. A list, not an ``array``,
-        because it indexes about twice as fast, and an id above 256 is the
-        int ``rank`` holds, shared by every vertex of its label.
+        one item on. No column is a byte per vertex either. The P mask and
+        then the ids, one at a time, are block columns: a list of one
+        block per 256 vertices, each the shared block of 0 or of 1 until a
+        write to part of it copies it. P's runs are read from the mask's
+        blocks other than 0's, so each lies in one block, and its labels
+        are written there in one slice. A block of labels is copied to a
+        ``bytearray``, or to a list once one of its ids passes 255: a list,
+        not an ``array``, because it indexes about twice as fast, and such
+        an id is the int ``rank`` holds, shared by every vertex of its
+        label. S's runs are read from the blocks of ids other than the
+        common one's, and its ids and its targets' ids are looked up by
+        C-level calls alone. In ``hanoi(13)`` the columns are two lists of
+        6,228 references, one at a time, and a handful of copied blocks.
 
         No other row is read but the hub's, tested for a span, which the
         invariant of every ``Graph`` makes sound: ids are in range, rows are
@@ -487,7 +451,7 @@ class Graph:
             # adds deg - d0 to the neighbor sum of every vertex of the span,
             # its own too, whose label is written over later; if not, the hub
             # is pulled like the other vertices of another degree
-            odd_vertices = zip(_degrees(offsets, after, odd), _pieces(range(vertex_count), odd))
+            odd_vertices = zip(_degrees(offsets, after, odd), pieces(range(vertex_count), odd))
             deg, hub = max(odd_vertices, key=itemgetter(0), default=(0, 0))
             span = None
             if deg > d0:
@@ -499,51 +463,42 @@ class Graph:
             # the vertices of another degree, but for a hub whose row is a
             # span, and the targets of their rows
             p_runs = _without(odd, spanned)
-            in_p = bytearray(vertex_count)
-            for start, end in p_runs:
-                in_p[start:end] = b"\x01" * (end - start)
-            for v in _pieces(targets, _slots(offsets, p_runs)):
-                in_p[v] = 1
-            p_runs = _without(_runs(in_p), spanned)
+            in_p = zeros(vertex_count)
+            p_vertices = pieces(range(vertex_count), p_runs)
+            set_ones(in_p, chain(p_vertices, pieces(targets, _slots(offsets, p_runs))))
+            p_runs = _without(differing(in_p, 0, vertex_count), spanned)
             del in_p
 
             # Labels, each ranked to a small id: (d0, d0 * d0 + deg - d0)
             # over the hub's span, then the hub's own, then P's, streamed.
             # The hub's sum is the slot count of its span's rows, less its
             # own degree when the span holds its id. `counts` counts the ids
-            # written; `overwritten`, the ids that P's blocks replace
+            # written, less those that P's blocks replace
             rank = {(d0, d0 * d0): 0}
-            ids: _Column = bytearray(vertex_count)
+            ids = zeros(vertex_count)
             counts = Counter({0: vertex_count})
             if span:
                 inside = hub in span
                 rank[d0, d0 * d0 + deg - d0] = 1
                 rank[deg, offsets[span.stop] - offsets[span.start] - deg * inside] = 2
-                # a block at a time, for a slice of the whole span would be
-                # copied twice, and take twice the bytes of the ids
-                for start, end in _blocks([(span.start, span.stop)]):
-                    ids[start:end] = b"\x01" * (end - start)
-                ids[hub] = 2
+                fill(ids, span.start, span.stop, ONES)
+                write(ids, hub, b"\x02")
                 counts = Counter({0: vertex_count - len(span) - 1 + inside, 1: len(span) - inside, 2: 1})
-            overwritten: Counter[int] = Counter()
             # P is empty in the double wheel, and builds no stream
             if p_runs:
                 # each target twice, for the end and the start of its row
-                ends, starts = tee(_pieces(targets, _slots(offsets, p_runs)))
+                ends, starts = tee(pieces(targets, _slots(offsets, p_runs)))
                 target_degrees = map(sub, map(after.__getitem__, ends), map(offsets.__getitem__, starts))
                 sums = map(sum, map(islice, repeat(target_degrees), _degrees(offsets, after, p_runs)))
                 # map draws each label, then len(rank), before its lookup, so a
                 # new label gets the next id
                 p_labels = zip(_degrees(offsets, after, p_runs), sums)
                 p_ids = map(rank.setdefault, p_labels, map(len, repeat(rank)))
-                for start, end in _blocks(p_runs):
+                # P's runs lie in blocks, as the mask's runs do
+                for start, end in p_runs:
                     block = list(islice(p_ids, end - start))
-                    if len(rank) > 256 and isinstance(ids, bytearray):
-                        ids = list(ids)
-                    overwritten.update(ids[start:end])
+                    counts.subtract(write(ids, start, block))
                     counts.update(block)
-                    ids[start:end] = block
-                counts.subtract(overwritten)
             # a label is (degree, neighbor_sum), in the order of these tables
             labels = list(rank)
             width = len(labels)
@@ -554,21 +509,23 @@ class Graph:
             common = max(counts, key=counts.__getitem__)
             pairs: Counter[int] = Counter()
             walked = 0
-            s_runs = _without(_differing(ids, common), spanned)
-            if span and ids[hub] != common:
+            s_runs = _without(differing(ids, common, vertex_count), spanned)
+            # the hub's id is 2, as written above
+            if span and common != 2:
                 # the span's ids off the common one are those of S inside
                 # it; the common id is counted as the rest of the span
-                source = ids[hub] * width
-                in_span = list(filter(span.__contains__, _pieces(range(vertex_count), s_runs)))
-                pairs.update(map(source.__add__, map(ids.__getitem__, in_span)))
+                source = 2 * width
+                in_span = list(filter(span.__contains__, pieces(range(vertex_count), s_runs)))
+                pairs.update(map(source.__add__, lookup(ids, in_span, [(0, len(in_span))])))
                 if n_common := len(span) - inside - len(in_span):
                     pairs[source + common] = n_common
                 walked = deg
             s_slots = _slots(offsets, s_runs)
+            s_ids = lookup(ids, range(vertex_count), s_runs)
             source_ids = chain.from_iterable(
-                map(repeat, map(width.__mul__, _pieces(ids, s_runs)), _degrees(offsets, after, s_runs))
+                map(repeat, map(width.__mul__, s_ids), _degrees(offsets, after, s_runs))
             )
-            pairs.update(map(add, source_ids, map(ids.__getitem__, _pieces(targets, s_slots))))
+            pairs.update(map(add, source_ids, lookup(ids, targets, s_slots)))
         # a slot from S to a most-common vertex is counted twice, once for
         # its mirror in that vertex's row, which is not walked; the slots
         # left over join two most-common vertices; sub(start, end) is the

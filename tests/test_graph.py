@@ -685,6 +685,73 @@ class TestEdgeClasses:
         assert classes(g) == reference_edge_classes(g)
 
     @pytest.mark.parametrize(
+        "start, end",
+        [
+            (20, 200),
+            (_BLOCK - 2, _BLOCK + 1),
+            (100, 3 * _BLOCK + 40),
+            (3 * _BLOCK + 3, 3 * _BLOCK + 40),
+            (0, 3 * _BLOCK + 40),
+        ],
+        ids=["inside-a-block", "across-an-edge", "to-the-short-end", "inside-the-short-end", "whole"],
+    )
+    def test_span_ends_in_the_block_column(self, start, end):
+        # a cycle of 3 * _BLOCK + 40 vertices, so that the last block of a
+        # column is short, and a hub after it, in that block, joined to
+        # [start, end): the span's label is set over its whole blocks and
+        # written over its parts of the blocks at its ends
+        size = 3 * _BLOCK + 40
+        g = Graph(size + 1, [*cycle(size).edges(), *((size, v) for v in range(start, end))])
+        assert graph._as_run(g._targets[g._offsets[size] :], size) == range(start, end)
+        assert classes(g) == reference_edge_classes(g)
+
+    @pytest.mark.parametrize("size", [3 * _BLOCK, 3 * _BLOCK + 5], ids=["whole-end", "short-end"])
+    def test_p_at_the_first_and_the_last_vertex(self, rows_read, size):
+        # a cycle over 1..size - 2, with 0 and size - 1 hung from its
+        # vertices 1 and size - 2: P's mask and the ids differ from the
+        # common value at the first item of the first block and at the last
+        # item of the last, whole or short
+        ring = range(1, size - 1)
+        edges = [*zip(ring, [*ring[1:], ring[0]]), (0, 1), (size - 2, size - 1)]
+        g = Graph(size, edges)
+        assert [v for v in range(size) if g.degree(v) != 2] == [0, 1, size - 2, size - 1]
+        assert classes(g) == reference_edge_classes(g)
+        read = {v for start, end in rows_read for v in range(start, end)}
+        assert {0, size - 1} <= read
+
+    def test_span_label_most_common_among_more_than_256(self, monkeypatch):
+        # a path of 130 hubs, hub k with k + 1 leaves, each hub and each
+        # hub's leaves with a label of their own, then a double wheel whose
+        # 20000 ring vertices, the span of its hub's row, carry the most
+        # common label, id 1. A chord from the last leaf pulls a ring vertex
+        # after the 257th label is ranked, so that a block of the span is
+        # copied from the shared block of 1 to a list
+        hubs, n = 130, 10_000
+        leaves = hubs * (hubs + 1) // 2
+        base = hubs + leaves
+        edges = [(k, k + 1) for k in range(hubs - 1)]
+        edges += zip((k for k in range(hubs) for _ in range(k + 1)), range(hubs, base))
+        edges += [(base + u, base + v) for u, v in double_wheel(n).edges()]
+        edges.append((base - 1, base + n))
+        g = Graph(base + 2 * n + 1, edges)
+        labels = Counter((g.degree(v), g.neighbor_degree_sum(v)) for v in range(g.vertex_count))
+        assert len(labels) > 256
+        assert labels.most_common(1)[0][0] == (3, 2 * n + 6)
+        widened = []
+        write = graph.write
+
+        def spy(blocks, start, values):
+            shared = blocks[start // _BLOCK] is graph.ONES
+            replaced = write(blocks, start, values)
+            if shared and type(blocks[start // _BLOCK]) is list:
+                widened.append(start)
+            return replaced
+
+        monkeypatch.setattr(graph, "write", spy)
+        assert classes(g) == reference_edge_classes(g)
+        assert any(start >= base for start in widened)
+
+    @pytest.mark.parametrize(
         "rows",
         [[{5}], [{5}, {0}], [[-1], [0]], [[1], [0, 2]], [[1], [0, -(2**63)]], [[1], [0, 2**63 - 1]]],
     )
